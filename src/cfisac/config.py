@@ -67,6 +67,8 @@ class ExperimentConfig:
 
     # detection
     pfa_target: float = 0.01
+    # relative SVD rank cut of the op-level dictionary (sensing.svd_basis); the
+    # batched engine needs none, its per-receive-AP dictionaries have rank one
     rank_tol: float = 1e-10
     n_snapshots: int = 1
     direct_residual: float = 0.0

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from . import kernels
 from .channel import (
@@ -31,6 +30,7 @@ from .clustering import ClusterAssignment, build_assignment, check_serving_cap
 from .config import ConfigError, ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
 from .metrics import FronthaulLoad, detection_rates, empirical_cdf, fronthaul_load
+from .sensing import calibrate_threshold
 
 # purposes of the per-drop random substreams
 _S_LAYOUT, _S_SHADOW, _S_SCHED, _S_FADING, _S_SYMBOL, _S_NOISE, _S_RCS, _S_DIRECT = range(8)
@@ -460,24 +460,28 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
 
 
 def _detect_region(cfg, ctx, l, cells_l, s_tx, y, stat, snr_lin, ranks):
-    """Accumulate the fused statistic / SNR / rank of one region's tests."""
+    """Accumulate the fused statistic / SNR / rank of one region's tests.
+
+    Every dictionary column is sqrt(beta) (a_tx^H s) a_rx at the inspected
+    cell, so each receive AP's dictionary has rank one with basis a_rx/sqrt(N)
+    and its GLRT term is |a_rx^H y|^2 / N. An all-zero dictionary adds neither
+    statistic nor rank.
+    """
     tx_c = ctx.cluster_tx[l]
-    rx_pos = ctx.cluster_rx_pos[l]
     rx_c = ctx.cluster_rx[l]
     n_rx = len(rx_c)
     n_ant = cfg.n_antennas
-    # dictionary columns beta * (a_tx^H s) * a_rx at each realization's cell
-    a_tx_f = ctx.a_cell[cells_l][:, tx_c]  # (F, n_tx, N)
+    cells = cells_l[:, None]
+    a_tx_f = ctx.a_cell[cells, tx_c]  # (F, n_tx, N)
+    a_rx_f = ctx.a_cell[cells, rx_c]  # (F, n_rx, N)
     proj = np.einsum("fpn,fpn->fp", a_tx_f.conj(), s_tx[:, tx_c], optimize=True)
     g_f = ctx.g_cell[cells_l]  # (F, M)
-    betas = g_f[:, rx_c, None] * g_f[:, None, tx_c]  # (F, n_rx, n_tx)
-    coef = betas * proj[:, None, :]
-    d_mat = ctx.a_cell[cells_l][:, rx_c][:, :, :, None] * coef[:, :, None, :]
-    u, sv, _ = np.linalg.svd(d_mat, full_matrices=False)
-    keep = sv > cfg.rank_tol * sv[..., :1]
-    proj_y = np.einsum("fmnr,fmn->fmr", u.conj(), y[:, rx_pos], optimize=True)
-    stat[:, l] += ((np.abs(proj_y) ** 2) * keep).sum(axis=(1, 2))
-    ranks[:, l] += keep.sum(axis=(1, 2))
+    sqrt_betas = np.sqrt(g_f[:, rx_c, None] * g_f[:, None, tx_c])  # (F, n_rx, n_tx)
+    coef = sqrt_betas * proj[:, None, :]
+    keep = np.any(coef != 0, axis=2)  # (F, n_rx)
+    match = np.einsum("fmn,fmn->fm", a_rx_f.conj(), y[:, ctx.cluster_rx_pos[l]], optimize=True)
+    stat[:, l] += ((np.abs(match) ** 2) * keep).sum(axis=1) / n_ant
+    ranks[:, l] += keep.sum(axis=1)
     # trace(D^H D R) with the shared rank-one factor: ||a_rx||^2 = N exactly
     r_f = ctx.r_region[l][cells_l - ctx.cell_offsets[l]]  # (F, n_tx, n_tx)
     quad = np.einsum("fmi,fij,fmj->f", coef, r_f, coef.conj(), optimize=True).real
@@ -487,7 +491,7 @@ def _detect_region(cfg, ctx, l, cells_l, s_tx, y, stat, snr_lin, ranks):
 def _threshold_table(ranks: np.ndarray, sigma2: float, pfa: float) -> np.ndarray:
     thresholds = np.zeros_like(ranks, dtype=float)
     for r in np.unique(ranks):
-        thresholds[ranks == r] = sigma2 * float(gammainccinv(max(int(r), 1), pfa))
+        thresholds[ranks == r] = calibrate_threshold(max(int(r), 1), sigma2, pfa)
     return thresholds
 
 
@@ -542,8 +546,15 @@ def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> Re
         diagnostics=diag,
     )
     expected = cfg.n_drops * cfg.n_fading
-    assert rs.rates_bps.size == expected * cfg.k_ues
-    assert rs.statistics.size == expected * cfg.l_regions
+    for what, samples, per_realization in (
+        ("rate", rs.rates_bps, cfg.k_ues),
+        ("detection", rs.statistics, cfg.l_regions),
+    ):
+        if samples.size != expected * per_realization:
+            raise RuntimeError(
+                f"{samples.size} {what} samples, expected {expected * per_realization} "
+                f"from {cfg.n_drops} drops x {cfg.n_fading} realizations"
+            )
     return rs
 
 

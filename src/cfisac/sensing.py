@@ -75,10 +75,10 @@ def simulate_rx_observable(
 
 
 def assemble_dictionary_columns(
-    a_rx: np.ndarray, betas: np.ndarray, tx_projections: np.ndarray
+    a_rx: np.ndarray, sqrt_betas: np.ndarray, tx_projections: np.ndarray
 ) -> np.ndarray:
-    """Columns beta_{m'} (a_tx^H s_{m'}) a_rx for every cluster transmit AP."""
-    return a_rx[:, None] * (betas * tx_projections)[None, :]
+    """Columns sqrt(beta_{m'}) (a_tx^H s_{m'}) a_rx for every cluster transmit AP."""
+    return a_rx[:, None] * (sqrt_betas * tx_projections)[None, :]
 
 
 def svd_basis(columns: np.ndarray, rank_tol: float = 1e-10):
@@ -103,8 +103,9 @@ def build_dictionary(
 ) -> Dictionary:
     """Dictionary for one (cell, receive AP): geometry evaluated at the cell center.
 
-    Column m' is beta_{l,m,m'} a_rx(cell) (a_tx(cell)^H s_{m'}), with beta the
-    product of the two one-way line-of-sight path gains via the cell center.
+    Column m' is sqrt(beta_{l,m,m'}) a_rx(cell) (a_tx(cell)^H s_{m'}), with beta
+    the product of the two one-way line-of-sight power gains via the cell
+    center: the amplitude scale of the echo ``composite_target_channel`` draws.
     """
     from .channel import ArrayGeometry, linear_gain, pathloss_db, steering_vector
     from .deployment import angles_from
@@ -115,19 +116,19 @@ def build_dictionary(
     rx_geom = ArrayGeometry(geom.n_antennas, geom.spacing_wavelengths, layout.broadsides[rx_ap])
     a_rx = steering_vector(rx_geom, *angles_from(rx_pos, center))
 
-    betas = np.zeros(len(tx_aps))
+    sqrt_betas = np.zeros(len(tx_aps))
     projections = np.zeros(len(tx_aps), dtype=complex)
     for j, mp in enumerate(tx_aps):
         tx_pos = layout.aps[mp]
         g_tx = linear_gain(
             pathloss_db(float(np.linalg.norm(center - tx_pos)), "ap_target_los", f_ghz)
         )
-        betas[j] = g_tx * g_rx
+        sqrt_betas[j] = math.sqrt(g_tx * g_rx)
         tx_geom = ArrayGeometry(geom.n_antennas, geom.spacing_wavelengths, layout.broadsides[mp])
         a_tx = steering_vector(tx_geom, *angles_from(tx_pos, center))
         projections[j] = a_tx.conj() @ tx_signals[mp]
 
-    columns = assemble_dictionary_columns(a_rx, betas, projections)
+    columns = assemble_dictionary_columns(a_rx, sqrt_betas, projections)
     basis, singular_values, rank = svd_basis(columns, rank_tol)
     return Dictionary(
         cell=cell,

@@ -23,6 +23,7 @@ from cfisac.harness import (
     _S_SCHED,
     _S_SHADOW,
     _S_SYMBOL,
+    _aggregate,
     _stream,
     preset_beamformer_comparison,
     preset_mode_comparison,
@@ -110,6 +111,11 @@ class TestRunExperiment:
         assert rs.rates_bps.size == 2 * 3 * 32
         rows = list(rs.sample_rows())
         assert sum(1 for r in rows if r[2] == "rate_bps") == 192
+
+    def test_aggregate_rejects_missing_drops(self):
+        cfg = ExperimentConfig(**TINY)  # n_drops=2
+        with pytest.raises(RuntimeError, match="expected"):
+            _aggregate(cfg, "short", [run_drop(cfg, 0)])
 
     def test_presets_share_layouts(self):
         cfg = ExperimentConfig(**TINY)
@@ -305,20 +311,25 @@ class TestConfigKnobs:
         # an unsubtracted direct path adds energy to the fused statistic
         assert leaky.statistics.mean() > base.statistics.mean()
 
-    def test_multi_snapshot_statistic(self):
-        # rank-one dictionaries at 2 receive APs: total rank 2 per snapshot,
-        # so the threshold moves to the summed-rank Gamma quantile
+    @pytest.mark.parametrize("mode", ["UTC", "CF"])
+    def test_multi_snapshot_statistic(self, mode):
+        # rank-one dictionaries at every receive AP of the cluster: total rank
+        # n_rx per snapshot, so the threshold moves to the summed-rank Gamma
+        # quantile. Two regions: a UTC cluster has its own 2 receive APs, a
+        # CF cluster spans all 4.
         from scipy.special import gammainccinv
 
-        cfg = ExperimentConfig(**TINY)
+        cfg = ExperimentConfig(**{**TINY, "mode": mode, "l_regions": 2})
+        n_rx = cfg.m_rx_per_region * (cfg.l_regions if mode == "CF" else 1)
         sigma2 = cfg.sigma_z2_w
         one = run_drop(cfg, 0)
         two = run_drop(cfg.replace(n_snapshots=2), 0)
+        assert all(len(rx) == n_rx for _, rx in one.assignment.sensing_clusters)
         np.testing.assert_allclose(
-            one.thresholds, sigma2 * float(gammainccinv(2, cfg.pfa_target)), rtol=1e-12
+            one.thresholds, sigma2 * float(gammainccinv(n_rx, cfg.pfa_target)), rtol=1e-12
         )
         np.testing.assert_allclose(
-            two.thresholds, sigma2 * float(gammainccinv(4, cfg.pfa_target)), rtol=1e-12
+            two.thresholds, sigma2 * float(gammainccinv(2 * n_rx, cfg.pfa_target)), rtol=1e-12
         )
         assert two.statistics.mean() > one.statistics.mean()
 

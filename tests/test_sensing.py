@@ -139,7 +139,8 @@ class TestDictionary:
         )
         a_rx = steering_to(GEOM, layout.aps[1], cell.center)
         a_tx = steering_to(GEOM, layout.aps[5], cell.center)
-        expected = g_rx * g_tx * (a_tx.conj() @ s) * a_rx
+        # amplitude scale sqrt(beta), as composite_target_channel draws the echo
+        expected = math.sqrt(g_rx * g_tx) * (a_tx.conj() @ s) * a_rx
         np.testing.assert_allclose(d.columns[:, 0], expected, rtol=1e-12)
 
     def test_svd_basis_orthonormal_and_reconstructs(self):
@@ -296,6 +297,51 @@ class TestSensingSnr:
         echo_power = float(np.mean((np.abs(cols @ alphas) ** 2).sum(axis=0)))
         mc = echo_power / (8 * sigma_z2)
         assert closed == pytest.approx(mc, rel=0.02)
+
+    def test_closed_form_matches_simulated_echo_energy(self):
+        # one Swerling-I target at the inspected cell center: the dictionary's
+        # closed-form SNR equals E||y_echo||^2 / (N sigma_z^2) of the echo that
+        # simulate_rx_observable draws through TargetLink
+        cfg = ExperimentConfig(m_aps=8, k_ues=2, t_targets=1, l_regions=1, cell_extent_m=250.0)
+        layout = generate_layout(cfg, np.random.default_rng(21))
+        cell = layout.regions[0].cells[4]
+        rng = np.random.default_rng(22)
+        tx_aps = [2, 3, 4]
+        rx_ap = 0
+        tx_signals = {mp: complex_normal(rng, 8) for mp in tx_aps}
+        d = build_dictionary(cell, rx_ap, tx_aps, layout, tx_signals, GEOM, 2.0)
+        r_mat = cfg.sigma_rcs2_m2 * view_angle_kernel(
+            cell.center, layout.aps[tx_aps], cfg.angular_corr_rad
+        )
+        sigma_z2 = cfg.sigma_z2_w
+        closed = sensing_snr([d], [r_mat], sigma_z2)
+
+        def gain(m):
+            dist = float(np.linalg.norm(cell.center - layout.aps[m]))
+            return linear_gain(pathloss_db(dist, "ap_target_los", 2.0))
+
+        paths = {
+            mp: TargetLink(
+                alpha=0j,
+                beta=gain(rx_ap) * gain(mp),
+                tx_steering=steering_to(GEOM, layout.aps[mp], cell.center),
+                rx_steering=steering_to(GEOM, layout.aps[rx_ap], cell.center),
+            )
+            for mp in tx_aps
+        }
+        n_draws = 40_000
+        alphas = psd_sqrt(r_mat) @ complex_normal(rng, (len(tx_aps), n_draws))
+        channels = ChannelRealization(
+            target_links={(0, rx_ap, mp): link for mp, link in paths.items()}
+        )
+        energy = 0.0
+        for i in range(n_draws):
+            for j, mp in enumerate(tx_aps):
+                paths[mp].alpha = complex(alphas[j, i])
+            y = simulate_rx_observable(channels, tx_signals, [1], rx_ap, True, 0.0)
+            energy += float(np.vdot(y, y).real)
+        simulated = energy / n_draws / (8 * sigma_z2)
+        assert closed == pytest.approx(simulated, rel=0.02)
 
     def test_rank_denominator_variant(self):
         rng = np.random.default_rng(17)
