@@ -63,22 +63,26 @@ class ChannelRealization:
 # --- large-scale -----------------------------------------------------------
 
 
-def pathloss_db(distance_3d: float, link: str, f_ghz: float = 2.0) -> float:
+def pathloss_db(
+    distance_3d: float | np.ndarray, link: str, f_ghz: float = 2.0
+) -> float | np.ndarray:
     """Micro-urban pathloss in dB, deterministic part only.
 
     NLoS (UE-AP links): 36.7 log10(d) + 22.7 + 26 log10(f_GHz)
     LoS (AP-AP and AP-target links): 22.0 log10(d) + 28.0 + 20 log10(f_GHz)
-    Distances are clamped below at 1 m.
+    Distances are clamped below at 1 m; a distance array gives an array.
     """
     if link not in LINK_KINDS:
         raise ValueError(f"unknown link kind {link!r}, expected one of {LINK_KINDS}")
-    d = max(float(distance_3d), 1.0)
+    d = np.maximum(distance_3d, 1.0)
     if link == "ue_ap_nlos":
-        return 36.7 * math.log10(d) + 22.7 + 26.0 * math.log10(f_ghz)
-    return 22.0 * math.log10(d) + 28.0 + 20.0 * math.log10(f_ghz)
+        return 36.7 * np.log10(d) + 22.7 + 26.0 * np.log10(f_ghz)
+    return 22.0 * np.log10(d) + 28.0 + 20.0 * np.log10(f_ghz)
 
 
-def linear_gain(pathloss_db_value: float, shadowing_db: float = 0.0) -> float:
+def linear_gain(
+    pathloss_db_value: float | np.ndarray, shadowing_db: float | np.ndarray = 0.0
+) -> float | np.ndarray:
     return 10.0 ** (-(pathloss_db_value + shadowing_db) / 10.0)
 
 

@@ -67,9 +67,6 @@ class ExperimentConfig:
 
     # detection
     pfa_target: float = 0.01
-    # relative SVD rank cut of the op-level dictionary (sensing.svd_basis); the
-    # batched engine needs none, its per-receive-AP dictionaries have rank one
-    rank_tol: float = 1e-10
     n_snapshots: int = 1
     direct_residual: float = 0.0
 
@@ -144,6 +141,10 @@ class ExperimentConfig:
             raise ConfigError("cell extent must be positive")
         if self.area_side_m <= 0:
             raise ConfigError("area_side_m must be positive")
+        if self.target_height_min_m > self.target_height_max_m:
+            raise ConfigError("target_height_min_m must not exceed target_height_max_m")
+        if self.angular_corr_deg <= 0:
+            raise ConfigError("angular_corr_deg must be positive")
         if self.n_drops < 1 or self.n_fading < 1 or self.n_snapshots < 1:
             raise ConfigError("n_drops, n_fading and n_snapshots must be >= 1")
         if self.seed < 0:

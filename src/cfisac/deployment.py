@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -296,11 +295,3 @@ def layout_from_text(text: str, config: ExperimentConfig) -> NetworkLayout:
         regions=build_regions(config),
         broadsides=np.zeros(len(aps)),
     )
-
-
-def save_layout(layout: NetworkLayout, path: str | Path) -> None:
-    Path(path).write_text(layout_to_text(layout))
-
-
-def load_layout(path: str | Path, config: ExperimentConfig) -> NetworkLayout:
-    return layout_from_text(Path(path).read_text(), config)

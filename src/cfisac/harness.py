@@ -22,6 +22,8 @@ from . import kernels
 from .channel import (
     ArrayGeometry,
     complex_normal,
+    linear_gain,
+    pathloss_db,
     psd_sqrt,
     steering_bank,
     view_angle_kernel,
@@ -30,12 +32,11 @@ from .clustering import ClusterAssignment, build_assignment, check_serving_cap
 from .config import ConfigError, ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
 from .metrics import FronthaulLoad, detection_rates, empirical_cdf, fronthaul_load
+from .precoding import ZF_FALLBACK_TOL, allocate_power
 from .sensing import calibrate_threshold
 
 # purposes of the per-drop random substreams
 _S_LAYOUT, _S_SHADOW, _S_SCHED, _S_FADING, _S_SYMBOL, _S_NOISE, _S_RCS, _S_DIRECT = range(8)
-
-ZF_FALLBACK_TOL = 1e-9
 
 
 def _stream(cfg: ExperimentConfig, drop: int, purpose: int, *extra: int) -> np.random.Generator:
@@ -47,19 +48,16 @@ def ue_ap_gains(
 ) -> np.ndarray:
     """Large-scale linear gains of every UE-AP link (NLoS + optional shadowing)."""
     d = np.linalg.norm(layout.ues[:, None, :] - layout.aps[None, :, :], axis=2)
-    d = np.maximum(d, 1.0)
-    pl = 36.7 * np.log10(d) + 22.7 + 26.0 * np.log10(cfg.carrier_ghz)
+    pl = pathloss_db(d, "ue_ap_nlos", cfg.carrier_ghz)
     if cfg.shadowing_enabled and cfg.shadowing_std_db > 0:
         pl = pl + rng.normal(0.0, cfg.shadowing_std_db, size=d.shape)
-    return 10.0 ** (-pl / 10.0)
+    return linear_gain(pl)
 
 
 def _los_gains(points: np.ndarray, ap_positions: np.ndarray, f_ghz: float) -> np.ndarray:
     """One-way LoS linear gains between points and APs, shape (P, M)."""
     d = np.linalg.norm(points[:, None, :] - ap_positions[None, :, :], axis=2)
-    d = np.maximum(d, 1.0)
-    pl = 22.0 * np.log10(d) + 28.0 + 20.0 * np.log10(f_ghz)
-    return 10.0 ** (-pl / 10.0)
+    return linear_gain(pathloss_db(d, "ap_target_los", f_ghz))
 
 
 @dataclass
@@ -255,37 +253,20 @@ class _DropContext:
         self.sensing_flag = assignment.pointing >= 0
         self.ue_share = np.zeros(m_total)
         self.eta0 = np.zeros(m_total)
-        rho = cfg.sensing_power_fraction
         for m in range(m_total):
-            n = self.n_served[m]
-            if self.sensing_flag[m]:
-                if n == 0:
-                    self.eta0[m] = cfg.p_max_w
-                else:
-                    share = (
-                        cfg.p_max_w / (n + 1) if rho is None else (1.0 - rho) * cfg.p_max_w / n
-                    )
-                    self.ue_share[m] = share
-                    self.eta0[m] = max(cfg.p_max_w - n * share, 0.0)
-            elif n > 0:
-                self.ue_share[m] = cfg.p_max_w / n
+            self.ue_share[m], self.eta0[m] = allocate_power(
+                cfg.p_max_w,
+                int(self.n_served[m]),
+                bool(self.sensing_flag[m]),
+                rho=cfg.sensing_power_fraction,
+            )
 
         self.amp = np.zeros((cfg.k_ues, m_total))
         for k, aps in enumerate(assignment.serving):
             self.amp[k, aps] = np.sqrt(self.ue_share[aps])
         self.sqrt_eta0 = np.sqrt(self.eta0)
 
-        # serving sets in CSR form for the numba kernel
-        counts = [len(a) for a in assignment.serving]
-        self.serving_indptr = np.zeros(cfg.k_ues + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.serving_indptr[1:])
-        self.serving_aps = (
-            np.concatenate(assignment.serving).astype(np.int64)
-            if cfg.k_ues
-            else np.zeros(0, dtype=np.int64)
-        )
-
-        self.sensing_tx = np.flatnonzero(self.sensing_flag).astype(np.int64)
+        self.sensing_tx = np.flatnonzero(self.sensing_flag)
 
         # strongest served UEs per sensing AP, the ZF annulment order
         self.annul = {}
@@ -404,9 +385,9 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
         direct = _direct_channel_bank(cfg, ctx, drop_index)
 
     # communication side is snapshot-independent: SINR uses beams and powers
-    a_mat = kernels.cross_gains(h, w_amp, ctx.serving_indptr, ctx.serving_aps)
+    a_mat = kernels.cross_gains(h, w_amp)
     w0_amp = ctx.sqrt_eta0[None, :, None] * w0
-    leak = kernels.sense_leakage(h, w0_amp, ctx.sensing_tx)
+    leak = kernels.sense_leakage(h, w0_amp)
     diag_gain = np.abs(np.einsum("fkk->fk", a_mat)) ** 2
     interference = (np.abs(a_mat) ** 2).sum(axis=2) - diag_gain
     sinr = diag_gain / (interference + leak + sigma2)

@@ -1,145 +1,42 @@
-"""Hot numeric kernels with numba and pure-numpy backends.
+"""Hot numeric kernels of the batched engine.
 
 The Monte Carlo loop spends most of its time in three reductions over the
 fading batch: the UE-to-UE cross-gain matrix behind the downlink SINR, the
 sensing-beam leakage term, and the accumulation of target echoes at the
-receive APs. Each has a numba ``@njit`` implementation that exploits the
-sparsity of the serving sets and a vectorized numpy fallback.
-
-Backend selection: set ``CFISAC_BACKEND=numpy`` or ``CFISAC_BACKEND=numba``
-in the environment (default: numba when importable). ``benchmarks/
-bench_kernels.py`` times the two side by side.
+receive APs. Each is one dense numpy contraction.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
 
-_requested = os.environ.get("CFISAC_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"CFISAC_BACKEND={_requested!r} not understood (use numba or numpy)")
-if _requested == "numba" and numba is None:
-    raise RuntimeError("CFISAC_BACKEND=numba requested but numba is not importable")
+def cross_gains(h: np.ndarray, w_amp: np.ndarray) -> np.ndarray:
+    """Effective cross gains between every (observing UE, served UE) pair.
 
-USE_NUMBA = numba is not None and _requested != "numpy"
-
-
-def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# --- cross gains -------------------------------------------------------------
-# a[f, k, j] = sum_{m in M_j} conj(h[f, k, m, :]) . w_amp[f, j, m, :]
-# where w_amp already carries sqrt(eta); rows of w_amp outside the serving
-# sets are zero, which the numpy path relies on and the numba path skips.
-
-
-def _cross_gains_numpy(h, w_amp, serving_indptr, serving_aps):
+    a[f, k, j] = sum_m conj(h[f, k, m, :]) . w_amp[f, j, m, :], where w_amp
+    already carries sqrt(eta) and is zero outside the serving sets.
+    """
     n_fading, n_ues, n_aps, n_ant = h.shape
     hc = h.conj().reshape(n_fading, n_ues, n_aps * n_ant)
     wf = w_amp.reshape(n_fading, n_ues, n_aps * n_ant)
     return hc @ wf.transpose(0, 2, 1)
 
 
-if numba is not None:
+def sense_leakage(h: np.ndarray, w0_amp: np.ndarray) -> np.ndarray:
+    """Total sensing-beam interference power received by every UE.
 
-    @numba.njit(cache=True, parallel=True, fastmath=True)
-    def _cross_gains_numba(h, w_amp, serving_indptr, serving_aps):  # pragma: no cover
-        n_fading, n_ues, _, n_ant = h.shape
-        out = np.zeros((n_fading, n_ues, n_ues), dtype=np.complex128)
-        for f in numba.prange(n_fading):
-            for j in range(n_ues):
-                for p in range(serving_indptr[j], serving_indptr[j + 1]):
-                    m = serving_aps[p]
-                    for k in range(n_ues):
-                        acc = 0.0 + 0.0j
-                        for n in range(n_ant):
-                            acc += np.conj(h[f, k, m, n]) * w_amp[f, j, m, n]
-                        out[f, k, j] += acc
-        return out
-
-
-def cross_gains(
-    h: np.ndarray, w_amp: np.ndarray, serving_indptr: np.ndarray, serving_aps: np.ndarray
-) -> np.ndarray:
-    """Effective cross gains between every (observing UE, served UE) pair."""
-    if USE_NUMBA:
-        return _cross_gains_numba(h, w_amp, serving_indptr, serving_aps)
-    return _cross_gains_numpy(h, w_amp, serving_indptr, serving_aps)
-
-
-# --- sensing leakage ----------------------------------------------------------
-# s[f, k] = sum_m |conj(h[f, k, m, :]) . w0_amp[f, m, :]|^2 with w0_amp zero
-# for APs without a sensing beam.
-
-
-def _sense_leakage_numpy(h, w0_amp, sensing_aps):
+    s[f, k] = sum_m |conj(h[f, k, m, :]) . w0_amp[f, m, :]|^2, with w0_amp
+    zero for APs without a sensing beam.
+    """
     g = np.einsum("fkmn,fmn->fkm", h.conj(), w0_amp, optimize=True)
     return (np.abs(g) ** 2).sum(axis=2)
 
 
-if numba is not None:
-
-    @numba.njit(cache=True, parallel=True, fastmath=True)
-    def _sense_leakage_numba(h, w0_amp, sensing_aps):  # pragma: no cover
-        n_fading, n_ues, _, n_ant = h.shape
-        out = np.zeros((n_fading, n_ues))
-        for f in numba.prange(n_fading):
-            for k in range(n_ues):
-                total = 0.0
-                for p in range(sensing_aps.shape[0]):
-                    m = sensing_aps[p]
-                    acc = 0.0 + 0.0j
-                    for n in range(n_ant):
-                        acc += np.conj(h[f, k, m, n]) * w0_amp[f, m, n]
-                    total += acc.real * acc.real + acc.imag * acc.imag
-                out[f, k] = total
-        return out
-
-
-def sense_leakage(h: np.ndarray, w0_amp: np.ndarray, sensing_aps: np.ndarray) -> np.ndarray:
-    """Total sensing-beam interference power received by every UE."""
-    if USE_NUMBA:
-        return _sense_leakage_numba(h, w0_amp, sensing_aps)
-    return _sense_leakage_numpy(h, w0_amp, sensing_aps)
-
-
-# --- target echo accumulation --------------------------------------------------
-# echo[f, r, :] = sum_t a_rx[t, r, :] * sum_p ab[f, t, r, p] * c[f, t, p]
-
-
-def _echo_mix_numpy(a_rx, ab, c):
-    weights = np.einsum("ftrp,ftp->ftr", ab, c, optimize=True)
-    return np.einsum("trn,ftr->frn", a_rx, weights, optimize=True)
-
-
-if numba is not None:
-
-    @numba.njit(cache=True, parallel=True, fastmath=True)
-    def _echo_mix_numba(a_rx, ab, c):  # pragma: no cover
-        n_fading, n_targets, n_rx, n_tx = ab.shape
-        n_ant = a_rx.shape[2]
-        out = np.zeros((n_fading, n_rx, n_ant), dtype=np.complex128)
-        for f in numba.prange(n_fading):
-            for t in range(n_targets):
-                for r in range(n_rx):
-                    wsum = 0.0 + 0.0j
-                    for p in range(n_tx):
-                        wsum += ab[f, t, r, p] * c[f, t, p]
-                    for n in range(n_ant):
-                        out[f, r, n] += a_rx[t, r, n] * wsum
-        return out
-
-
 def echo_mix(a_rx: np.ndarray, ab: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Superpose all target echoes at the receive APs.
+
+    echo[f, r, :] = sum_t a_rx[t, r, :] * sum_p ab[f, t, r, p] * c[f, t, p]
 
     a_rx: (T, R, N) steering of each receive AP toward each true target.
     ab:   (F, T, R, P) reflectivities scaled by the two-way amplitude gains.
@@ -147,23 +44,5 @@ def echo_mix(a_rx: np.ndarray, ab: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     if ab.shape[1] == 0:
         return np.zeros((ab.shape[0], ab.shape[2], a_rx.shape[2]), dtype=np.complex128)
-    if USE_NUMBA:
-        return _echo_mix_numba(a_rx, ab, c)
-    return _echo_mix_numpy(a_rx, ab, c)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs so timing loops stay clean."""
-    if not USE_NUMBA:
-        return
-    h = np.ones((1, 2, 2, 2), dtype=np.complex128)
-    w = np.ones_like(h)
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    aps = np.array([0, 1], dtype=np.int64)
-    _cross_gains_numba(h, w, indptr, aps)
-    _sense_leakage_numba(h, np.ones((1, 2, 2), dtype=np.complex128), aps)
-    _echo_mix_numba(
-        np.ones((1, 1, 2), dtype=np.complex128),
-        np.ones((1, 1, 1, 2), dtype=np.complex128),
-        np.ones((1, 1, 2), dtype=np.complex128),
-    )
+    weights = np.einsum("ftrp,ftp->ftr", ab, c, optimize=True)
+    return np.einsum("trn,ftr->frn", a_rx, weights, optimize=True)

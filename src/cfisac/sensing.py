@@ -20,7 +20,8 @@ class Dictionary:
     ``columns`` holds one column per cluster transmit AP (built at the cell
     center, so it carries the footnoted cell/target mismatch by design);
     ``basis`` the left singular vectors with singular value above
-    rank_tol * sigma_max, an orthonormal basis of the column space.
+    rank_tol * sigma_max (``build_dictionary``'s argument, 1e-10 by default),
+    an orthonormal basis of the column space.
     """
 
     cell: Optional[RangeCell]
@@ -82,7 +83,11 @@ def assemble_dictionary_columns(
 
 
 def svd_basis(columns: np.ndarray, rank_tol: float = 1e-10):
-    """Thin SVD basis of the column space, truncated at rank_tol relative."""
+    """Thin SVD basis of the column space, truncated at rank_tol relative.
+
+    Only the op-level oracle builds general dictionaries; the batched engine
+    uses their closed rank-one form and has no rank cut.
+    """
     if columns.size == 0 or not np.any(columns):
         n = columns.shape[0]
         return np.zeros((n, 0), dtype=complex), np.zeros(0), 0

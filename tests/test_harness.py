@@ -164,6 +164,14 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             ExperimentConfig(pfa_target=0.0).validate()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"angular_corr_deg": 0.0}, {"angular_corr_deg": -5.0}, {"target_height_min_m": 300.0}],
+    )
+    def test_degenerate_target_model_rejected(self, changes):
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            ExperimentConfig(**changes).validate()
+
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nseed=3  # trailing\n")
         assert cfg.seed == 3
@@ -279,7 +287,6 @@ class TestBatchedPipelineMatchesOps:
                         tx_signals,
                         geom,
                         cfg.carrier_ghz,
-                        rank_tol=cfg.rank_tol,
                     )
                 )
                 y = simulate_rx_observable(

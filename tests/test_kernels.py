@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -11,54 +7,20 @@ from cfisac.channel import complex_normal
 
 def random_problem(rng, n_fading=3, n_ues=5, n_aps=7, n_ant=4, q=2):
     h = complex_normal(rng, (n_fading, n_ues, n_aps, n_ant))
-    serving = [np.sort(rng.choice(n_aps, size=q, replace=False)) for _ in range(n_ues)]
-    indptr = np.zeros(n_ues + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in serving], out=indptr[1:])
-    aps = np.concatenate(serving).astype(np.int64)
     w_amp = np.zeros_like(h)
-    for k, s in enumerate(serving):
-        w_amp[:, k, s, :] = complex_normal(rng, (n_fading, len(s), n_ant))
-    return h, w_amp, indptr, aps
-
-
-class TestBackendsAgree:
-    @pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend disabled")
-    def test_cross_gains(self):
-        rng = np.random.default_rng(0)
-        h, w_amp, indptr, aps = random_problem(rng)
-        a_np = kernels._cross_gains_numpy(h, w_amp, indptr, aps)
-        a_nb = kernels._cross_gains_numba(h, w_amp, indptr, aps)
-        np.testing.assert_allclose(a_nb, a_np, rtol=1e-10, atol=1e-12)
-
-    @pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend disabled")
-    def test_sense_leakage(self):
-        rng = np.random.default_rng(1)
-        h, _, _, _ = random_problem(rng)
-        w0 = complex_normal(rng, (3, 7, 4))
-        idle = np.array([0, 2, 5])
-        mask = np.zeros(7, dtype=bool)
-        mask[idle] = True
-        w0[:, ~mask, :] = 0.0
-        s_np = kernels._sense_leakage_numpy(h, w0, idle.astype(np.int64))
-        s_nb = kernels._sense_leakage_numba(h, w0, idle.astype(np.int64))
-        np.testing.assert_allclose(s_nb, s_np, rtol=1e-10, atol=1e-14)
-
-    @pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend disabled")
-    def test_echo_mix(self):
-        rng = np.random.default_rng(2)
-        a_rx = complex_normal(rng, (4, 3, 6))
-        ab = complex_normal(rng, (5, 4, 3, 8))
-        c = complex_normal(rng, (5, 4, 8))
-        e_np = kernels._echo_mix_numpy(a_rx, ab, c)
-        e_nb = kernels._echo_mix_numba(a_rx, ab, c)
-        np.testing.assert_allclose(e_nb, e_np, rtol=1e-10, atol=1e-12)
+    for k in range(n_ues):
+        serving = rng.choice(n_aps, size=q, replace=False)
+        w_amp[:, k, serving, :] = complex_normal(rng, (n_fading, q, n_ant))
+    return h, w_amp
 
 
 class TestDispatch:
+    """Each kernel against a direct-sum loop over its defining formula."""
+
     def test_cross_gains_matches_direct_sum(self):
         rng = np.random.default_rng(3)
-        h, w_amp, indptr, aps = random_problem(rng, n_fading=2, n_ues=3, n_aps=4, n_ant=2)
-        got = kernels.cross_gains(h, w_amp, indptr, aps)
+        h, w_amp = random_problem(rng, n_fading=2, n_ues=3, n_aps=4, n_ant=2)
+        got = kernels.cross_gains(h, w_amp)
         for f in range(2):
             for k in range(3):
                 for j in range(3):
@@ -67,6 +29,35 @@ class TestDispatch:
                     )
                     assert got[f, k, j] == pytest.approx(expected, rel=1e-10)
 
+    def test_sense_leakage_matches_direct_sum(self):
+        rng = np.random.default_rng(1)
+        h, _ = random_problem(rng)
+        w0_amp = complex_normal(rng, (3, 7, 4))
+        sensing = [0, 2, 5]
+        w0_amp[:, np.setdiff1d(np.arange(7), sensing), :] = 0.0
+        got = kernels.sense_leakage(h, w0_amp)
+        assert got.shape == (3, 5)
+        for f in range(3):
+            for k in range(5):
+                expected = sum(abs(np.vdot(h[f, k, m], w0_amp[f, m])) ** 2 for m in sensing)
+                assert got[f, k] == pytest.approx(expected, rel=1e-10)
+
+    def test_echo_mix_matches_direct_sum(self):
+        rng = np.random.default_rng(2)
+        n_fading, n_targets, n_rx, n_tx, n_ant = 5, 4, 3, 8, 6
+        a_rx = complex_normal(rng, (n_targets, n_rx, n_ant))
+        ab = complex_normal(rng, (n_fading, n_targets, n_rx, n_tx))
+        c = complex_normal(rng, (n_fading, n_targets, n_tx))
+        got = kernels.echo_mix(a_rx, ab, c)
+        assert got.shape == (n_fading, n_rx, n_ant)
+        for f in range(n_fading):
+            for r in range(n_rx):
+                expected = np.zeros(n_ant, dtype=complex)
+                for t in range(n_targets):
+                    weight = sum(ab[f, t, r, p] * c[f, t, p] for p in range(n_tx))
+                    expected += a_rx[t, r] * weight
+                np.testing.assert_allclose(got[f, r], expected, rtol=1e-10, atol=1e-12)
+
     def test_zero_targets_echo(self):
         out = kernels.echo_mix(
             np.zeros((0, 2, 4), dtype=complex),
@@ -74,33 +65,3 @@ class TestDispatch:
             np.zeros((3, 0, 5), dtype=complex),
         )
         np.testing.assert_array_equal(out, np.zeros((3, 2, 4)))
-
-    def test_active_backend_name(self):
-        assert kernels.active_backend() in ("numba", "numpy")
-
-
-class TestEnvFlag:
-    def test_numpy_fallback_selected_by_env(self):
-        code = (
-            "import cfisac.kernels as k; import numpy as np;"
-            "assert k.active_backend() == 'numpy';"
-            "h = np.ones((1, 2, 2, 2), dtype=complex); w = h.copy();"
-            "indptr = np.array([0, 2, 4], dtype=np.int64);"
-            "aps = np.array([0, 1, 0, 1], dtype=np.int64);"
-            "a = k.cross_gains(h, w, indptr, aps);"
-            "assert np.allclose(a, 4.0), a"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            env={**os.environ, "CFISAC_BACKEND": "numpy"},
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-
-    def test_unknown_backend_rejected(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import cfisac.kernels"],
-            capture_output=True,
-            env={**os.environ, "CFISAC_BACKEND": "cuda"},
-        )
-        assert proc.returncode != 0
