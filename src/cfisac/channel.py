@@ -130,8 +130,18 @@ def steering_bank(
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """Circularly-symmetric complex Gaussian, unit variance per entry.
+
+    Draws the real parts, then the imaginary parts, and scales each straight
+    into one complex array (bitwise the same as ``(re + 1j*im) / sqrt(2)``).
+    """
+    scale = 1.0 / math.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    draw = rng.standard_normal(shape)
+    np.multiply(draw, scale, out=out.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=out.imag)
+    return out
 
 
 def draw_ue_ap_channel(

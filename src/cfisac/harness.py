@@ -22,6 +22,7 @@ from . import kernels
 from .channel import (
     ArrayGeometry,
     complex_normal,
+    draw_correlated_rcs_factored,
     linear_gain,
     pathloss_db,
     psd_sqrt,
@@ -319,7 +320,8 @@ def _sense_beams(
             annul = ctx.annul[m]
             diag.zf_beams += n_fading
             a = a_mf[:, i]  # (F, N)
-            basis = np.linalg.qr(h[:, annul, m, :].swapaxes(1, 2))[0]  # (F, N, a)
+            h_ann = h[:, annul, m, :]  # (F, a, N)
+            basis = np.linalg.qr(h_ann.swapaxes(1, 2))[0]  # (F, N, a)
             w = a - np.einsum(
                 "fna,fa->fn", basis, np.einsum("fna,fn->fa", basis.conj(), a), optimize=True
             )
@@ -333,10 +335,29 @@ def _sense_beams(
             ok = ~fallback
             if ok.any():
                 leak = np.abs(
-                    np.einsum("fan,fn->fa", h[ok][:, annul, m, :].conj(), w[ok], optimize=True)
+                    np.einsum("fan,fn->fa", h_ann[ok].conj(), w[ok], optimize=True)
                 )
                 diag.zf_leakage_max = max(diag.zf_leakage_max, float(leak.max()))
     return w0, diag
+
+
+def _comm_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Power-scaled MF beams h / ||h|| * amp, zero off the serving sets.
+
+    Norms are taken only on the served (k, m) links. The complex result is
+    written once, through two real products on its float64 view: 1/||h||
+    (bitwise the same as dividing by ||h||), then amp.
+    """
+    n_fading, k_ues, m_total, n_ant = h.shape
+    served = np.flatnonzero(amp)  # flat (k, m) indices
+    h_served = np.take(h.reshape(n_fading, k_ues * m_total, n_ant), served, axis=1)
+    inv_norm = np.zeros((n_fading, k_ues * m_total))
+    inv_norm[:, served] = 1.0 / np.linalg.norm(h_served, axis=2)
+    w_amp = np.empty_like(h)
+    w_view = w_amp.view(np.float64)
+    np.multiply(h.view(np.float64), inv_norm.reshape(n_fading, k_ues, m_total, 1), out=w_view)
+    w_view *= amp[:, :, None]
+    return w_amp
 
 
 def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
@@ -353,11 +374,9 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
     n_targets = len(layout.targets)
     sigma2 = cfg.sigma_z2_w
 
-    h = np.sqrt(gains)[None, :, :, None] * complex_normal(
-        _stream(cfg, drop_index, _S_FADING), (n_fading, k_ues, m_total, n_ant)
-    )
-    beams = h / np.linalg.norm(h, axis=3, keepdims=True)
-    w_amp = beams * ctx.amp[None, :, :, None]
+    h = complex_normal(_stream(cfg, drop_index, _S_FADING), (n_fading, k_ues, m_total, n_ant))
+    h *= np.sqrt(gains)[:, :, None]
+    w_amp = _comm_beams(h, ctx.amp)
 
     # one scan epoch per fading realization, cycling through the sweep
     epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) global ids
@@ -368,11 +387,13 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
     # drawn jointly over all (rx, tx) pairs through the angular kernel
     n_rx_all, n_tx_all = len(ctx.rx_all), len(ctx.tx_all)
     ab = np.zeros((n_fading, n_targets, n_rx_all, n_tx_all), dtype=complex)
-    sigma_rcs = math.sqrt(cfg.sigma_rcs2_m2)
     for t in range(n_targets):
-        g = complex_normal(_stream(cfg, drop_index, _S_RCS, t), (n_fading, n_rx_all, n_tx_all))
-        alpha = sigma_rcs * np.einsum(
-            "ab,fbc,cd->fad", ctx.s_rx_sqrt[t], g, ctx.s_tx_sqrt[t], optimize=True
+        alpha = draw_correlated_rcs_factored(
+            ctx.s_rx_sqrt[t],
+            ctx.s_tx_sqrt[t],
+            cfg.sigma_rcs2_m2,
+            _stream(cfg, drop_index, _S_RCS, t),
+            n_fading,
         )
         amp2 = ctx.sqrt_g_tgt[t, ctx.rx_all][:, None] * ctx.sqrt_g_tgt[t, ctx.tx_all][None, :]
         ab[:, t] = alpha * amp2[None, :, :]

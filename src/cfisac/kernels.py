@@ -27,9 +27,10 @@ def sense_leakage(h: np.ndarray, w0_amp: np.ndarray) -> np.ndarray:
     """Total sensing-beam interference power received by every UE.
 
     s[f, k] = sum_m |conj(h[f, k, m, :]) . w0_amp[f, m, :]|^2, with w0_amp
-    zero for APs without a sensing beam.
+    zero for APs without a sensing beam. The small (F, M, N) operand is the
+    one conjugated: |conj(h) . w| = |h . conj(w)| bitwise.
     """
-    g = np.einsum("fkmn,fmn->fkm", h.conj(), w0_amp, optimize=True)
+    g = np.einsum("fkmn,fmn->fkm", h, w0_amp.conj(), optimize=True)
     return (np.abs(g) ** 2).sum(axis=2)
 
 

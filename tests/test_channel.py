@@ -107,6 +107,14 @@ class TestFadingDraws:
         draws = np.array([draw_ue_ap_channel(0.25, GEOM, rng) for _ in range(20_000)])
         assert float((np.abs(draws) ** 2).sum(axis=1).mean()) == pytest.approx(2.0, rel=0.02)
 
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 4), 8])
+    def test_complex_normal_bitwise_matches_complex_sum(self, shape):
+        got = complex_normal(np.random.default_rng(11), shape)
+        g = np.random.default_rng(11)
+        expected = (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / math.sqrt(2.0)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
     def test_draw_determinism(self):
         a = draw_ue_ap_channel(2.5, GEOM, np.random.default_rng(42))
         b = draw_ue_ap_channel(2.5, GEOM, np.random.default_rng(42))

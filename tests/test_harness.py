@@ -23,7 +23,10 @@ from cfisac.harness import (
     _S_SCHED,
     _S_SHADOW,
     _S_SYMBOL,
+    _DropContext,
     _aggregate,
+    _comm_beams,
+    _sense_beams,
     _stream,
     preset_beamformer_comparison,
     preset_mode_comparison,
@@ -303,6 +306,63 @@ class TestBatchedPipelineMatchesOps:
             )
             snr = sensing_snr(dicts, [r_mat] * len(rx_cluster), cfg.sigma_z2_w)
             assert 10 * math.log10(snr) == pytest.approx(dr.sensing_snr_db[f, 0], rel=1e-9)
+
+
+def _drop_context(cfg, drop=0):
+    """The engine's per-drop context and fading tensor, drawn as run_drop does."""
+    layout = generate_layout(cfg, _stream(cfg, drop, _S_LAYOUT))
+    gains = ue_ap_gains(layout, cfg, _stream(cfg, drop, _S_SHADOW))
+    assignment = build_assignment(layout, gains, cfg)
+    schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
+    ctx = _DropContext(cfg, layout, assignment, schedule, gains)
+    h = np.sqrt(gains)[None, :, :, None] * complex_normal(
+        _stream(cfg, drop, _S_FADING), (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+    )
+    return ctx, h
+
+
+class TestBeams:
+    @pytest.mark.parametrize("mode", ["UTC", "CF"])
+    def test_comm_beams_bitwise_match_normalized_channel(self, mode):
+        ctx, h = _drop_context(ExperimentConfig(**{**TINY, "mode": mode, "n_fading": 6}))
+        expected = (h / np.linalg.norm(h, axis=3, keepdims=True)) * ctx.amp[None, :, :, None]
+        got = _comm_beams(h, ctx.amp)
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
+    def test_zf_partial_fallback(self):
+        # realizations 1 and 4 give every ZF AP an annulled channel equal to
+        # its cell steering vector, so the projection vanishes there and only
+        # there; the other realizations keep their projected beams
+        cfg = ExperimentConfig(**{**TINY, "beamformer": "ZF", "k_zf": 2, "n_fading": 6})
+        ctx, h = _drop_context(cfg)
+        epoch_cells = ctx.cell_of[np.arange(cfg.n_fading) % ctx.n_epochs]
+        zf_aps = [m for m, annul in ctx.annul.items() if annul.size > 0]
+        assert zf_aps
+        crafted = [1, 4]
+        for f in crafted:
+            for m in zf_aps:
+                cell = epoch_cells[f, ctx.assignment.pointing[m]]
+                h[f, ctx.annul[m][0], m] = ctx.a_cell[cell, m]
+
+        w0, diag = _sense_beams(ctx, h, epoch_cells)
+
+        n_ant = cfg.n_antennas
+        assert diag.zf_beams == cfg.n_fading * len(zf_aps)
+        assert diag.zf_fallbacks == len(crafted) * len(zf_aps)
+        ok = np.setdiff1d(np.arange(cfg.n_fading), crafted)
+        leak_max = 0.0
+        for m in zf_aps:
+            cells = epoch_cells[:, ctx.assignment.pointing[m]]
+            np.testing.assert_array_equal(
+                w0[crafted, m], ctx.a_cell[cells[crafted], m] / math.sqrt(n_ant)
+            )
+            # the fallback beams leak sqrt(N) onto the crafted channel
+            assert np.abs(np.vdot(h[crafted[0], ctx.annul[m][0], m], w0[crafted[0], m])) > 1.0
+            h_ann = h[:, ctx.annul[m], m, :]
+            leak = np.abs(np.einsum("fan,fn->fa", h_ann[ok].conj(), w0[ok, m], optimize=True))
+            assert leak.max() < 1e-9
+            leak_max = max(leak_max, float(leak.max()))
+        assert diag.zf_leakage_max == leak_max
 
 
 class TestConfigKnobs:

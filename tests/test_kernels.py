@@ -42,6 +42,16 @@ class TestDispatch:
                 expected = sum(abs(np.vdot(h[f, k, m], w0_amp[f, m])) ** 2 for m in sensing)
                 assert got[f, k] == pytest.approx(expected, rel=1e-10)
 
+    def test_sense_leakage_bitwise_matches_conjugated_channel(self):
+        rng = np.random.default_rng(4)
+        h, _ = random_problem(rng, n_fading=6, n_ues=9, n_aps=11, n_ant=8)
+        w0_amp = complex_normal(rng, (6, 11, 8))
+        w0_amp[:, [1, 4, 7], :] = 0.0
+        g = np.einsum("fkmn,fmn->fkm", h.conj(), w0_amp, optimize=True)
+        expected = (np.abs(g) ** 2).sum(axis=2)
+        got = kernels.sense_leakage(h, w0_amp)
+        assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
     def test_echo_mix_matches_direct_sum(self):
         rng = np.random.default_rng(2)
         n_fading, n_targets, n_rx, n_tx, n_ant = 5, 4, 3, 8, 6
