@@ -3,13 +3,13 @@ downlink communication and multistatic GLRT-based target detection."""
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .harness import (
-    ResultSet,
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
     run_drop,
     run_experiment,
 )
+from .metrics import ResultSet
 
 __version__ = "0.1.0"
 

@@ -11,13 +11,12 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .harness import (
-    ResultSet,
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
     run_experiment,
 )
-from .metrics import write_cdf_csv, write_samples_csv
+from .metrics import ResultSet, write_results
 from .sensing import calibrate_threshold, calibrate_threshold_mc
 
 OUTPUT_ROOT_ENV = "CFISAC_OUTPUT_ROOT"
@@ -105,42 +104,11 @@ def _output_dir(args) -> Path:
     return Path(root) / args.command
 
 
-def _write_arm(out_dir: Path, rs: ResultSet) -> None:
-    write_samples_csv(out_dir / f"{rs.label}_samples.csv", rs.sample_rows())
-    write_cdf_csv(out_dir / f"{rs.label}_cdf_rate_bps.csv", rs.rate_cdf())
-    write_cdf_csv(out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", rs.snr_cdf())
-    with open(out_dir / f"{rs.label}_detections.txt", "w") as fh:
-        fh.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
-        for row in rs.detection_rows():
-            d, f, l, s, t, dec, tr, snr = row
-            fh.write(f"{d} {f} {l} {float(s)!r} {float(t)!r} {dec} {tr} {float(snr)!r}\n")
-
-
-def _summarize(results: dict[str, ResultSet]) -> str:
-    lines = []
-    for label, rs in sorted(results.items()):
-        pd, pfa = rs.detection()
-        lines.append(
-            f"arm={label} median_rate_bps={rs.median_rate()!r} "
-            f"median_sensing_snr_db={rs.median_snr_db()!r} "
-            f"pd={'na' if pd is None else repr(pd)} pfa={'na' if pfa is None else repr(pfa)} "
-            f"fronthaul_max={rs.fronthaul_max} fronthaul_mean={rs.fronthaul_mean!r} "
-            f"power_dev_max={rs.diagnostics.power_dev_max!r} "
-            f"zf_leakage_max={rs.diagnostics.zf_leakage_max!r} "
-            f"zf_fallbacks={rs.diagnostics.zf_fallbacks}/{rs.diagnostics.zf_beams}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _run_and_write(args, results: dict[str, ResultSet], cfg: ExperimentConfig) -> int:
     out_dir = _output_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(cfg.to_text())
-    for rs in results.values():
-        _write_arm(out_dir, rs)
-    (out_dir / "summary.txt").write_text(_summarize(results))
+    summary = write_results(out_dir, results, cfg)
     print(f"wrote {len(results)} arm(s) to {out_dir}")
-    print(_summarize(results), end="")
+    print(summary, end="")
     return 0
 
 

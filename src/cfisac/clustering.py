@@ -241,24 +241,3 @@ def build_assignment(
         sensing_clusters=clusters,
         pointing=pointing,
     )
-
-
-def sensing_cluster_for_cell(
-    assignment: ClusterAssignment, region: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transmit and receive AP subsets inspecting the region's current cell."""
-    if region < 0 or region >= len(assignment.sensing_clusters):
-        raise ValueError(f"region {region} out of range")
-    return assignment.sensing_clusters[region]
-
-
-def assignment_to_text(assignment: ClusterAssignment) -> str:
-    """Dump for deployment inspection: AP modes/regions, then serving lists."""
-    lines = []
-    rx_set = set(int(m) for m in assignment.rx_aps)
-    for m in range(len(assignment.pointing)):
-        mode = "rx" if m in rx_set else "tx"
-        lines.append(f"ap {m} {mode} {assignment.pointing[m]}")
-    for k, aps in enumerate(assignment.serving):
-        lines.append(f"ue {k} {','.join(str(int(m)) for m in aps)}")
-    return "\n".join(lines) + "\n"

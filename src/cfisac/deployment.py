@@ -72,7 +72,6 @@ class NetworkLayout:
     ues: np.ndarray
     targets: np.ndarray
     target_regions: np.ndarray
-    area_side: float
     regions: list[SensingRegion]
     broadsides: np.ndarray
 
@@ -184,32 +183,9 @@ def generate_layout(config: ExperimentConfig, rng: np.random.Generator) -> Netwo
         ues=ues,
         targets=targets,
         target_regions=target_regions,
-        area_side=side,
         regions=regions,
         broadsides=broadsides,
     )
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap to (-pi, pi]."""
-    wrapped = (angle + np.pi) % (2.0 * np.pi) - np.pi
-    if wrapped <= -np.pi:
-        wrapped += 2.0 * np.pi
-    return wrapped
-
-
-def angles_from(array_pos: np.ndarray, target_pos: np.ndarray) -> tuple[float, float]:
-    """Azimuth/elevation of ``target_pos`` as seen from an array at ``array_pos``.
-
-    Azimuth is measured in the horizontal plane from the x axis (the common
-    broadside reference); elevation from the horizontal. Both in (-pi, pi].
-    """
-    delta = np.asarray(target_pos, dtype=float) - np.asarray(array_pos, dtype=float)
-    if float(np.linalg.norm(delta)) < 1e-9:
-        raise ValueError("coincident array and target positions have no view angle")
-    azimuth = math.atan2(delta[1], delta[0])
-    elevation = math.atan2(delta[2], math.hypot(delta[0], delta[1]))
-    return wrap_angle(azimuth), wrap_angle(elevation)
 
 
 def build_scan_schedule(regions: Sequence[SensingRegion], rng: np.random.Generator) -> ScanSchedule:
@@ -251,47 +227,3 @@ def build_scan_schedule(regions: Sequence[SensingRegion], rng: np.random.Generat
             epochs[e, l] = choice
             picked_xy.append(centers[l][choice])
     return ScanSchedule(epochs=epochs)
-
-
-# --- layout snapshots ---------------------------------------------------
-
-
-def layout_to_text(layout: NetworkLayout) -> str:
-    """One entity per line: kind, index, x, y, z, region (-1 if none)."""
-    lines = []
-    for i, p in enumerate(layout.aps):
-        lines.append(f"ap {i} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r} -1")
-    for i, p in enumerate(layout.ues):
-        lines.append(f"ue {i} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r} -1")
-    for i, p in enumerate(layout.targets):
-        lines.append(
-            f"target {i} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r} "
-            f"{int(layout.target_regions[i])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def layout_from_text(text: str, config: ExperimentConfig) -> NetworkLayout:
-    """Rebuild a layout from a snapshot; regions are reconstructed from config."""
-    kinds: dict[str, list[tuple[int, np.ndarray, int]]] = {"ap": [], "ue": [], "target": []}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        kind, idx, x, y, z, region = stripped.split()
-        kinds[kind].append((int(idx), np.array([float(x), float(y), float(z)]), int(region)))
-    for rows in kinds.values():
-        rows.sort(key=lambda r: r[0])
-    aps = np.array([r[1] for r in kinds["ap"]]).reshape(-1, 3)
-    ues = np.array([r[1] for r in kinds["ue"]]).reshape(-1, 3)
-    targets = np.array([r[1] for r in kinds["target"]]).reshape(-1, 3)
-    target_regions = np.array([r[2] for r in kinds["target"]], dtype=int)
-    return NetworkLayout(
-        aps=aps,
-        ues=ues,
-        targets=targets,
-        target_regions=target_regions,
-        area_side=config.area_side_m,
-        regions=build_regions(config),
-        broadsides=np.zeros(len(aps)),
-    )

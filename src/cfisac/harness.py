@@ -13,8 +13,7 @@ identical layouts, shadowing and fading draws (common random numbers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .channel import (
 from .clustering import ClusterAssignment, build_assignment, check_serving_cap
 from .config import ConfigError, ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
-from .metrics import FronthaulLoad, detection_rates, empirical_cdf, fronthaul_load
+from .metrics import DropDiagnostics, DropResult, ResultSet, _aggregate, fronthaul_load
 from .precoding import ZF_FALLBACK_TOL, allocate_power
 from .sensing import calibrate_threshold
 
@@ -59,100 +58,6 @@ def _los_gains(points: np.ndarray, ap_positions: np.ndarray, f_ghz: float) -> np
     """One-way LoS linear gains between points and APs, shape (P, M)."""
     d = np.linalg.norm(points[:, None, :] - ap_positions[None, :, :], axis=2)
     return linear_gain(pathloss_db(d, "ap_target_los", f_ghz))
-
-
-@dataclass
-class DropDiagnostics:
-    power_dev_max: float = 0.0
-    zf_leakage_max: float = 0.0
-    zf_fallbacks: int = 0
-    zf_beams: int = 0
-
-    def merge(self, other: "DropDiagnostics") -> "DropDiagnostics":
-        return DropDiagnostics(
-            power_dev_max=max(self.power_dev_max, other.power_dev_max),
-            zf_leakage_max=max(self.zf_leakage_max, other.zf_leakage_max),
-            zf_fallbacks=self.zf_fallbacks + other.zf_fallbacks,
-            zf_beams=self.zf_beams + other.zf_beams,
-        )
-
-
-@dataclass
-class DropResult:
-    drop_index: int
-    rates_bps: np.ndarray  # (F, K)
-    sensing_snr_db: np.ndarray  # (F, L)
-    statistics: np.ndarray  # (F, L)
-    thresholds: np.ndarray  # (F, L)
-    decisions: np.ndarray  # (F, L) bool
-    truths: np.ndarray  # (F, L) bool
-    fronthaul: FronthaulLoad
-    diagnostics: DropDiagnostics
-    layout: NetworkLayout
-    assignment: ClusterAssignment
-
-
-@dataclass
-class ResultSet:
-    """Aggregated samples of one experiment arm."""
-
-    label: str
-    config: ExperimentConfig
-    rates_bps: np.ndarray  # (D, F, K)
-    sensing_snr_db: np.ndarray  # (D, F, L)
-    statistics: np.ndarray
-    thresholds: np.ndarray
-    decisions: np.ndarray
-    truths: np.ndarray
-    fronthaul_max: int
-    fronthaul_mean: float
-    diagnostics: DropDiagnostics
-
-    def rate_cdf(self):
-        return empirical_cdf(self.rates_bps.ravel())
-
-    def snr_cdf(self):
-        return empirical_cdf(self.sensing_snr_db.ravel())
-
-    def detection(self):
-        return detection_rates(self.decisions.ravel(), self.truths.ravel())
-
-    def median_rate(self) -> float:
-        return float(np.median(self.rates_bps))
-
-    def median_snr_db(self) -> float:
-        return float(np.median(self.sensing_snr_db))
-
-    def sample_rows(self) -> Iterable[tuple[int, int, str, float]]:
-        """Flatten to (drop, entity, metric, value) rows in a fixed order."""
-        n_drops = self.rates_bps.shape[0]
-        for d in range(n_drops):
-            for f in range(self.rates_bps.shape[1]):
-                for k in range(self.rates_bps.shape[2]):
-                    yield d, k, "rate_bps", self.rates_bps[d, f, k]
-            for name, arr in (
-                ("sensing_snr_db", self.sensing_snr_db),
-                ("statistic", self.statistics),
-                ("decision", self.decisions),
-            ):
-                for f in range(arr.shape[1]):
-                    for l in range(arr.shape[2]):
-                        yield d, l, name, float(arr[d, f, l])
-
-    def detection_rows(self) -> Iterable[tuple]:
-        for d in range(self.statistics.shape[0]):
-            for f in range(self.statistics.shape[1]):
-                for l in range(self.statistics.shape[2]):
-                    yield (
-                        d,
-                        f,
-                        l,
-                        self.statistics[d, f, l],
-                        self.thresholds[d, f, l],
-                        int(self.decisions[d, f, l]),
-                        int(self.truths[d, f, l]),
-                        self.sensing_snr_db[d, f, l],
-                    )
 
 
 class _DropContext:
@@ -221,17 +126,15 @@ class _DropContext:
                 psd_sqrt(view_angle_kernel(layout.targets[t], layout.aps[self.tx_all], corr))
             )
 
-        # cluster membership resolved to positions inside rx_all/tx_all
+        # cluster membership; receive APs also as positions inside rx_all
         self.cluster_tx = []
         self.cluster_rx = []
-        self.cluster_tx_pos = []
         self.cluster_rx_pos = []
         for tx_c, rx_c in assignment.sensing_clusters:
             tx_c = np.asarray(tx_c, dtype=int)
             rx_c = np.asarray(rx_c, dtype=int)
             self.cluster_tx.append(tx_c)
             self.cluster_rx.append(rx_c)
-            self.cluster_tx_pos.append(np.searchsorted(self.tx_all, tx_c))
             self.cluster_rx_pos.append(np.searchsorted(self.rx_all, rx_c))
 
         # hypothesized reflectivity covariance per cell (cluster tx APs)
@@ -528,36 +431,6 @@ def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
     check_serving_cap(cfg)
     drops = [run_drop(cfg, d) for d in range(cfg.n_drops)]
     return _aggregate(cfg, label, drops)
-
-
-def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> ResultSet:
-    diag = DropDiagnostics()
-    for dr in drops:
-        diag = diag.merge(dr.diagnostics)
-    rs = ResultSet(
-        label=label,
-        config=cfg,
-        rates_bps=np.stack([d.rates_bps for d in drops]),
-        sensing_snr_db=np.stack([d.sensing_snr_db for d in drops]),
-        statistics=np.stack([d.statistics for d in drops]),
-        thresholds=np.stack([d.thresholds for d in drops]),
-        decisions=np.stack([d.decisions for d in drops]),
-        truths=np.stack([d.truths for d in drops]),
-        fronthaul_max=max(d.fronthaul.max_load for d in drops),
-        fronthaul_mean=float(np.mean([d.fronthaul.mean_load for d in drops])),
-        diagnostics=diag,
-    )
-    expected = cfg.n_drops * cfg.n_fading
-    for what, samples, per_realization in (
-        ("rate", rs.rates_bps, cfg.k_ues),
-        ("detection", rs.statistics, cfg.l_regions),
-    ):
-        if samples.size != expected * per_realization:
-            raise RuntimeError(
-                f"{samples.size} {what} samples, expected {expected * per_realization} "
-                f"from {cfg.n_drops} drops x {cfg.n_fading} realizations"
-            )
-    return rs
 
 
 # --- experiment presets ------------------------------------------------------

@@ -1,18 +1,21 @@
-"""Communication SINR/rate, detection rates, fronthaul accounting, CDFs."""
+"""Detection rates, fronthaul accounting, CDFs, and the output files.
+
+This module owns every byte the CLI writes: the per-drop and per-arm result
+records, the row order of each file, its number format and its name.
+"""
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .clustering import ClusterAssignment
-from .precoding import BeamformingPlan
+from .config import ExperimentConfig
+from .deployment import NetworkLayout
 
 
 @dataclass
@@ -22,65 +25,13 @@ class CdfCurve:
     values: np.ndarray
     probabilities: np.ndarray
 
-    def quantile(self, p: float) -> float:
-        idx = int(np.searchsorted(self.probabilities, p, side="left"))
-        return float(self.values[min(idx, len(self.values) - 1)])
-
-    @property
-    def median(self) -> float:
-        return self.quantile(0.5)
-
 
 @dataclass
 class FronthaulLoad:
-    """Sensing scalars each receive AP ships to the CPU per epoch."""
+    """Most and mean sensing scalars a receive AP ships to the CPU per epoch."""
 
-    per_ap: dict[int, int]
     max_load: int
     mean_load: float
-
-
-def communication_sinr(
-    channels: ChannelRealization,
-    plan: BeamformingPlan,
-    assignment: ClusterAssignment,
-    ue: int,
-    sigma_z2: float,
-) -> float:
-    """Downlink SINR of one UE with coherent combining across its serving APs.
-
-    Useful power |sum_{m in M_k} sqrt(eta) h^H w|^2 against the same coherent
-    sums toward every other UE, the sensing-beam leakage of every transmit
-    AP, and thermal noise.
-    """
-    signal = 0.0 + 0.0j
-    for m in assignment.serving[ue]:
-        key = (ue, int(m))
-        signal += math.sqrt(plan.powers[key]) * (
-            channels.h[key].conj() @ plan.comm_beams[key]
-        )
-    interference = 0.0
-    for j in range(len(assignment.serving)):
-        if j == ue:
-            continue
-        cross = 0.0 + 0.0j
-        for m in assignment.serving[j]:
-            cross += math.sqrt(plan.powers[(j, int(m))]) * (
-                channels.h[(ue, int(m))].conj() @ plan.comm_beams[(j, int(m))]
-            )
-        interference += abs(cross) ** 2
-    sensing = 0.0
-    for m, eta0 in plan.sense_powers.items():
-        if eta0 > 0.0:
-            sensing += eta0 * abs(channels.h[(ue, m)].conj() @ plan.sense_beams[m]) ** 2
-    return abs(signal) ** 2 / (interference + sensing + sigma_z2)
-
-
-def rate_bps(sinr: float, bandwidth_hz: float) -> float:
-    """Shannon rate B log2(1 + SINR)."""
-    if sinr < 0:
-        raise ValueError("sinr must be non-negative")
-    return bandwidth_hz * math.log2(1.0 + sinr)
 
 
 def detection_rates(
@@ -103,13 +54,11 @@ def detection_rates(
 
 def fronthaul_load(assignment: ClusterAssignment) -> FronthaulLoad:
     """Per-epoch sensing fronthaul: one scalar per cluster a receive AP sits in."""
-    per_ap = {}
-    for m in assignment.rx_aps:
-        per_ap[int(m)] = sum(
-            1 for _, rx in assignment.sensing_clusters if int(m) in set(int(x) for x in rx)
-        )
-    loads = list(per_ap.values())
-    return FronthaulLoad(per_ap=per_ap, max_load=max(loads), mean_load=float(np.mean(loads)))
+    loads = [
+        sum(1 for _, rx in assignment.sensing_clusters if int(m) in set(int(x) for x in rx))
+        for m in assignment.rx_aps
+    ]
+    return FronthaulLoad(max_load=max(loads), mean_load=float(np.mean(loads)))
 
 
 def empirical_cdf(samples: Sequence[float]) -> CdfCurve:
@@ -118,6 +67,112 @@ def empirical_cdf(samples: Sequence[float]) -> CdfCurve:
         raise ValueError("cannot build a CDF from zero samples")
     probabilities = np.arange(1, values.size + 1) / values.size
     return CdfCurve(values=values, probabilities=probabilities)
+
+
+# --- result records ------------------------------------------------------------
+
+
+@dataclass
+class DropDiagnostics:
+    power_dev_max: float = 0.0
+    zf_leakage_max: float = 0.0
+    zf_fallbacks: int = 0
+    zf_beams: int = 0
+
+    def merge(self, other: "DropDiagnostics") -> "DropDiagnostics":
+        return DropDiagnostics(
+            power_dev_max=max(self.power_dev_max, other.power_dev_max),
+            zf_leakage_max=max(self.zf_leakage_max, other.zf_leakage_max),
+            zf_fallbacks=self.zf_fallbacks + other.zf_fallbacks,
+            zf_beams=self.zf_beams + other.zf_beams,
+        )
+
+
+@dataclass
+class DropResult:
+    drop_index: int
+    rates_bps: np.ndarray  # (F, K)
+    sensing_snr_db: np.ndarray  # (F, L)
+    statistics: np.ndarray  # (F, L)
+    thresholds: np.ndarray  # (F, L)
+    decisions: np.ndarray  # (F, L) bool
+    truths: np.ndarray  # (F, L) bool
+    fronthaul: FronthaulLoad
+    diagnostics: DropDiagnostics
+    layout: NetworkLayout
+    assignment: ClusterAssignment
+
+
+@dataclass
+class ResultSet:
+    """Aggregated samples of one experiment arm."""
+
+    label: str
+    config: ExperimentConfig
+    rates_bps: np.ndarray  # (D, F, K)
+    sensing_snr_db: np.ndarray  # (D, F, L)
+    statistics: np.ndarray
+    thresholds: np.ndarray
+    decisions: np.ndarray
+    truths: np.ndarray
+    fronthaul_max: int
+    fronthaul_mean: float
+    diagnostics: DropDiagnostics
+
+    def detection(self):
+        return detection_rates(self.decisions.ravel(), self.truths.ravel())
+
+    def median_rate(self) -> float:
+        return float(np.median(self.rates_bps))
+
+    def median_snr_db(self) -> float:
+        return float(np.median(self.sensing_snr_db))
+
+    def sample_rows(self) -> Iterable[tuple[int, int, str, float]]:
+        """Flatten to (drop, entity, metric, value) rows in a fixed order."""
+        n_drops = self.rates_bps.shape[0]
+        for d in range(n_drops):
+            for f in range(self.rates_bps.shape[1]):
+                for k in range(self.rates_bps.shape[2]):
+                    yield d, k, "rate_bps", self.rates_bps[d, f, k]
+            for name, arr in (
+                ("sensing_snr_db", self.sensing_snr_db),
+                ("statistic", self.statistics),
+                ("decision", self.decisions),
+            ):
+                for f in range(arr.shape[1]):
+                    for l in range(arr.shape[2]):
+                        yield d, l, name, float(arr[d, f, l])
+
+
+def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> ResultSet:
+    diag = DropDiagnostics()
+    for dr in drops:
+        diag = diag.merge(dr.diagnostics)
+    rs = ResultSet(
+        label=label,
+        config=cfg,
+        rates_bps=np.stack([d.rates_bps for d in drops]),
+        sensing_snr_db=np.stack([d.sensing_snr_db for d in drops]),
+        statistics=np.stack([d.statistics for d in drops]),
+        thresholds=np.stack([d.thresholds for d in drops]),
+        decisions=np.stack([d.decisions for d in drops]),
+        truths=np.stack([d.truths for d in drops]),
+        fronthaul_max=max(d.fronthaul.max_load for d in drops),
+        fronthaul_mean=float(np.mean([d.fronthaul.mean_load for d in drops])),
+        diagnostics=diag,
+    )
+    expected = cfg.n_drops * cfg.n_fading
+    for what, samples, per_realization in (
+        ("rate", rs.rates_bps, cfg.k_ues),
+        ("detection", rs.statistics, cfg.l_regions),
+    ):
+        if samples.size != expected * per_realization:
+            raise RuntimeError(
+                f"{samples.size} {what} samples, expected {expected * per_realization} "
+                f"from {cfg.n_drops} drops x {cfg.n_fading} realizations"
+            )
+    return rs
 
 
 # --- file emission -----------------------------------------------------------
@@ -138,3 +193,46 @@ def write_cdf_csv(path: str | Path, curve: CdfCurve) -> None:
         writer.writerow(["value", "probability"])
         for v, p in zip(curve.values, curve.probabilities):
             writer.writerow([repr(float(v)), repr(float(p))])
+
+
+def _write_arm(out_dir: Path, rs: ResultSet) -> None:
+    write_samples_csv(out_dir / f"{rs.label}_samples.csv", rs.sample_rows())
+    write_cdf_csv(out_dir / f"{rs.label}_cdf_rate_bps.csv", empirical_cdf(rs.rates_bps.ravel()))
+    write_cdf_csv(
+        out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", empirical_cdf(rs.sensing_snr_db.ravel())
+    )
+    with open(out_dir / f"{rs.label}_detections.txt", "w") as fh:
+        fh.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
+        for d, f, l in np.ndindex(rs.statistics.shape):
+            fh.write(
+                f"{d} {f} {l} {float(rs.statistics[d, f, l])!r} "
+                f"{float(rs.thresholds[d, f, l])!r} {int(rs.decisions[d, f, l])} "
+                f"{int(rs.truths[d, f, l])} {float(rs.sensing_snr_db[d, f, l])!r}\n"
+            )
+
+
+def _summarize(results: dict[str, ResultSet]) -> str:
+    lines = []
+    for label, rs in sorted(results.items()):
+        pd, pfa = rs.detection()
+        lines.append(
+            f"arm={label} median_rate_bps={rs.median_rate()!r} "
+            f"median_sensing_snr_db={rs.median_snr_db()!r} "
+            f"pd={'na' if pd is None else repr(pd)} pfa={'na' if pfa is None else repr(pfa)} "
+            f"fronthaul_max={rs.fronthaul_max} fronthaul_mean={rs.fronthaul_mean!r} "
+            f"power_dev_max={rs.diagnostics.power_dev_max!r} "
+            f"zf_leakage_max={rs.diagnostics.zf_leakage_max!r} "
+            f"zf_fallbacks={rs.diagnostics.zf_fallbacks}/{rs.diagnostics.zf_beams}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_results(out_dir: Path, results: dict[str, ResultSet], cfg: ExperimentConfig) -> str:
+    """Write config.txt, each arm's files and summary.txt; return the summary text."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.txt").write_text(cfg.to_text())
+    for rs in results.values():
+        _write_arm(out_dir, rs)
+    summary = _summarize(results)
+    (out_dir / "summary.txt").write_text(summary)
+    return summary

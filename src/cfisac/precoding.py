@@ -1,94 +1,11 @@
-"""Per-AP downlink beamformers (communication + sensing) and power split."""
+"""Per-AP downlink power split and the zero-forcing fallback tolerance."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from .channel import ArrayGeometry, steering_to
-
+# a projected ZF beam with norm at most this times sqrt(N) falls back to MF
 ZF_FALLBACK_TOL = 1e-9
-
-
-@dataclass
-class BeamformingPlan:
-    """One coherence interval's beams and powers.
-
-    comm_beams[(k, m)]  unit-norm beam of AP m toward UE k.
-    sense_beams[m]      unit-norm sensing beam of transmit AP m.
-    powers[(k, m)]      downlink power of AP m for UE k, watts.
-    sense_powers[m]     sensing power of AP m, watts (0 if not sensing).
-    zf_fallbacks        count of degenerate projections replaced by MF beams.
-    """
-
-    comm_beams: dict = field(default_factory=dict)
-    sense_beams: dict = field(default_factory=dict)
-    powers: dict = field(default_factory=dict)
-    sense_powers: dict = field(default_factory=dict)
-    zf_fallbacks: int = 0
-
-    def ap_power(self, m: int) -> float:
-        total = self.sense_powers.get(m, 0.0)
-        for (k, ap), eta in self.powers.items():
-            if ap == m:
-                total += eta
-        return total
-
-
-def mf_comm_beam(h_km: np.ndarray) -> np.ndarray:
-    """Conjugate-matched unit-norm beam w = h / ||h||."""
-    norm = float(np.linalg.norm(h_km))
-    if norm == 0.0:
-        raise ValueError("cannot match a zero channel")
-    return h_km / norm
-
-
-def mf_sense_beam(
-    geom: ArrayGeometry, cell_center: np.ndarray, ap_pos: np.ndarray
-) -> np.ndarray:
-    """Channel-matched sensing beam: the cell-center steering vector, normalized."""
-    return steering_to(geom, ap_pos, cell_center) / math.sqrt(geom.n_antennas)
-
-
-def zf_sense_beam(
-    geom: ArrayGeometry,
-    cell_center: np.ndarray,
-    ap_pos: np.ndarray,
-    ue_channels: Sequence[np.ndarray],
-    k_zf: int,
-    gains: Optional[Sequence[float]] = None,
-) -> tuple[np.ndarray, bool]:
-    """Partial zero-forcing sensing beam.
-
-    Projects the matched sensing beam onto the orthogonal complement of the
-    k_zf served-UE channels with the largest large-scale gains (annulling
-    their sensing leakage), then renormalizes. Returns (beam, fallback); a
-    numerically vanishing projection falls back to the MF beam and is
-    flagged instead of raising.
-    """
-    if k_zf < 0:
-        raise ValueError("k_zf must be >= 0")
-    if k_zf > geom.n_antennas - 1:
-        raise ValueError("k_zf must leave at least one free dimension (k_zf <= N-1)")
-    if k_zf > len(ue_channels):
-        raise ValueError("k_zf exceeds the number of served-UE channels")
-    a = steering_to(geom, ap_pos, cell_center)
-    if k_zf == 0:
-        return a / math.sqrt(geom.n_antennas), False
-    if gains is not None:
-        order = np.argsort(-np.asarray(gains, dtype=float), kind="stable")
-        chosen = [ue_channels[i] for i in order[:k_zf]]
-    else:
-        chosen = list(ue_channels)[:k_zf]
-    basis = np.linalg.qr(np.column_stack(chosen))[0]
-    w = a - basis @ (basis.conj().T @ a)
-    norm = float(np.linalg.norm(w))
-    if norm <= ZF_FALLBACK_TOL * math.sqrt(geom.n_antennas):
-        return a / math.sqrt(geom.n_antennas), True
-    return w / norm, False
 
 
 def allocate_power(
@@ -114,66 +31,3 @@ def allocate_power(
     else:
         per_ue = (1.0 - rho) * p_max / n_served
     return per_ue, max(p_max - n_served * per_ue, 0.0)
-
-
-def transmit_vector(
-    plan: BeamformingPlan, m: int, data_symbols: dict[int, complex], sense_symbol: complex
-) -> np.ndarray:
-    """Superimpose the AP's weighted beams: s_m = sum_k sqrt(eta) w x + sqrt(eta0) w0 x0."""
-    s = None
-    for (k, ap), eta in plan.powers.items():
-        if ap != m or eta == 0.0:
-            continue
-        term = math.sqrt(eta) * plan.comm_beams[(k, m)] * data_symbols[k]
-        s = term if s is None else s + term
-    eta0 = plan.sense_powers.get(m, 0.0)
-    if eta0 > 0.0:
-        term = math.sqrt(eta0) * plan.sense_beams[m] * sense_symbol
-        s = term if s is None else s + term
-    if s is None:
-        n = len(next(iter(plan.comm_beams.values()))) if plan.comm_beams else 1
-        return np.zeros(n, dtype=complex)
-    return s
-
-
-def build_plan(
-    h: dict[tuple[int, int], np.ndarray],
-    large_scale: np.ndarray,
-    assignment,
-    geom: ArrayGeometry,
-    ap_positions: np.ndarray,
-    cells_by_region: Sequence[np.ndarray],
-    p_max: float,
-    beamformer: str = "MF",
-    k_zf: int = 0,
-    rho: Optional[float] = None,
-) -> BeamformingPlan:
-    """Assemble the full per-AP plan for one coherence interval.
-
-    ``cells_by_region[l]`` is the center of the cell currently inspected in
-    region l; transmit APs with a sensing role beam toward the cell of their
-    pointing region.
-    """
-    plan = BeamformingPlan()
-    for m in assignment.tx_aps:
-        served = assignment.served[m]
-        sensing = assignment.pointing[m] >= 0
-        per_ue, eta0 = allocate_power(p_max, len(served), sensing, rho=rho)
-        for k in served:
-            plan.comm_beams[(int(k), int(m))] = mf_comm_beam(h[(int(k), int(m))])
-            plan.powers[(int(k), int(m))] = per_ue
-        plan.sense_powers[int(m)] = eta0
-        if sensing:
-            cell_center = cells_by_region[assignment.pointing[m]]
-            if beamformer == "ZF" and k_zf > 0 and len(served) > 0:
-                n_null = min(k_zf, len(served), geom.n_antennas - 1)
-                channels = [h[(int(k), int(m))] for k in served]
-                gains = [large_scale[int(k), int(m)] for k in served]
-                beam, fallback = zf_sense_beam(
-                    geom, cell_center, ap_positions[m], channels, n_null, gains=gains
-                )
-                plan.zf_fallbacks += int(fallback)
-            else:
-                beam = mf_sense_beam(geom, cell_center, ap_positions[m])
-            plan.sense_beams[int(m)] = beam
-    return plan

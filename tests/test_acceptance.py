@@ -29,7 +29,7 @@ from cfisac.harness import (
     ue_ap_gains,
 )
 from cfisac.metrics import fronthaul_load
-from cfisac.sensing import Dictionary, build_dictionary, glrt_statistic, sensing_snr, svd_basis
+from reference import Dictionary, build_dictionary, glrt_statistic, sensing_snr, svd_basis
 
 BASELINE = ExperimentConfig()  # paper-scale defaults, n_drops=100, n_fading=100
 

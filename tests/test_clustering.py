@@ -4,10 +4,8 @@ import pytest
 from cfisac.clustering import (
     assign_ap_modes,
     associate_ues,
-    assignment_to_text,
     build_assignment,
     check_serving_cap,
-    sensing_cluster_for_cell,
 )
 from cfisac.config import ConfigError, ExperimentConfig
 from cfisac.deployment import generate_layout
@@ -204,24 +202,6 @@ class TestAssociateUes:
             assert not rx_set & set(int(m) for m in aps)
 
 
-class TestSensingClusterLookup:
-    def test_baseline(self):
-        _, _, _, assignment = make_assignment(mode="UTC")
-        tx_c, rx_c = sensing_cluster_for_cell(assignment, 2)
-        assert len(tx_c) == 6 and len(rx_c) == 2
-        assert not set(int(m) for m in tx_c) & set(int(m) for m in rx_c)
-
-    def test_cf_uses_everything(self):
-        _, _, _, assignment = make_assignment(mode="CF")
-        tx_c, rx_c = sensing_cluster_for_cell(assignment, 0)
-        assert len(tx_c) + len(rx_c) == 64
-
-    def test_region_out_of_range(self):
-        _, _, _, assignment = make_assignment()
-        with pytest.raises(ValueError):
-            sensing_cluster_for_cell(assignment, 99)
-
-
 class TestScalability:
     def test_per_ap_load_does_not_grow_with_network_size(self):
         """Per-AP complexity stays flat as M, K, L scale proportionally.
@@ -258,11 +238,3 @@ class TestScalability:
             grown_max, grown_mean = results[m_aps]
             assert grown_max <= base_max + 1
             assert grown_mean == pytest.approx(base_mean, rel=1e-12)
-
-
-def test_assignment_dump_lists_every_entity():
-    _, _, _, assignment = make_assignment()
-    text = assignment_to_text(assignment)
-    lines = text.strip().splitlines()
-    assert sum(1 for x in lines if x.startswith("ap ")) == 64
-    assert sum(1 for x in lines if x.startswith("ue ")) == 32

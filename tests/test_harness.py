@@ -5,9 +5,9 @@ import pytest
 
 from cfisac.channel import (
     ArrayGeometry,
-    ChannelRealization,
-    TargetLink,
     complex_normal,
+    linear_gain,
+    pathloss_db,
     psd_sqrt,
     steering_bank,
     view_angle_kernel,
@@ -24,8 +24,8 @@ from cfisac.harness import (
     _S_SHADOW,
     _S_SYMBOL,
     _DropContext,
-    _aggregate,
     _comm_beams,
+    _direct_channel_bank,
     _sense_beams,
     _stream,
     preset_beamformer_comparison,
@@ -35,14 +35,20 @@ from cfisac.harness import (
     run_experiment,
     ue_ap_gains,
 )
-from cfisac.metrics import communication_sinr, rate_bps
-from cfisac.precoding import build_plan, transmit_vector
-from cfisac.sensing import (
+from cfisac.metrics import _aggregate
+from cfisac.sensing import calibrate_threshold
+from reference import (
+    ChannelRealization,
+    TargetLink,
     build_dictionary,
-    calibrate_threshold,
+    build_plan,
+    communication_sinr,
+    draw_ap_ap_channel,
     glrt_statistic,
+    rate_bps,
     sensing_snr,
     simulate_rx_observable,
+    transmit_vector,
 )
 
 TINY = dict(
@@ -363,6 +369,39 @@ class TestBeams:
             assert leak.max() < 1e-9
             leak_max = max(leak_max, float(leak.max()))
         assert diag.zf_leakage_max == leak_max
+
+    def test_direct_bank_matches_scalar_rician(self):
+        # at K = 300 dB the scattered part is 1e-15 of the LoS part, so every
+        # (tx, rx) slice of the bank must equal the scalar Rician matrix that
+        # maps the tx array onto the rx array, each with its own broadside
+        cfg = ExperimentConfig(**{**TINY, "rician_k_db": 300.0, "random_broadside": True})
+        ctx, _ = _drop_context(cfg)
+        bank = _direct_channel_bank(cfg, ctx, 0)
+        layout = ctx.layout
+        assert bank.shape == (
+            cfg.n_fading, len(ctx.tx_all), len(ctx.rx_all), cfg.n_antennas, cfg.n_antennas
+        )
+
+        def geom(m):
+            return ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths, layout.broadsides[m])
+
+        rng = np.random.default_rng(0)
+        for p, mt in enumerate(ctx.tx_all):
+            for r, mr in enumerate(ctx.rx_all):
+                dist = float(np.linalg.norm(layout.aps[mt] - layout.aps[mr]))
+                gain = linear_gain(pathloss_db(dist, "ap_target_los", cfg.carrier_ghz))
+                for f in range(cfg.n_fading):
+                    expected = draw_ap_ap_channel(
+                        gain,
+                        geom(mt),
+                        geom(mr),
+                        layout.aps[mt],
+                        layout.aps[mr],
+                        cfg.rician_k_linear,
+                        rng,
+                    )
+                    np.testing.assert_allclose(bank[f, p, r], expected, rtol=1e-12)
+
 
 
 class TestConfigKnobs:

