@@ -9,17 +9,33 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import complex_normal
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .harness import (
+    calibrate_threshold,
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
     run_experiment,
 )
 from .metrics import ResultSet, write_results
-from .sensing import calibrate_threshold, calibrate_threshold_mc
 
 OUTPUT_ROOT_ENV = "CFISAC_OUTPUT_ROOT"
+
+
+def calibrate_threshold_mc(
+    total_rank: int,
+    sigma_z2: float,
+    target_pfa: float,
+    n_draws: int,
+    rng: np.random.Generator,
+) -> float:
+    """Monte Carlo cross-check: empirical quantile of noise-only statistics."""
+    if not 0.0 < target_pfa < 1.0:
+        raise ValueError("target_pfa must lie in (0, 1)")
+    z = complex_normal(rng, (n_draws, total_rank))
+    stats = sigma_z2 * (np.abs(z) ** 2).sum(axis=1)
+    return float(np.quantile(stats, 1.0 - target_pfa))
 
 
 def build_parser() -> argparse.ArgumentParser:

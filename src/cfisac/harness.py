@@ -16,6 +16,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from . import kernels
 from .channel import (
@@ -29,14 +30,16 @@ from .channel import (
     view_angle_kernel,
 )
 from .clustering import ClusterAssignment, build_assignment, check_serving_cap
-from .config import ConfigError, ExperimentConfig, VALID_MODES
+from .config import ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
 from .metrics import DropDiagnostics, DropResult, ResultSet, _aggregate, fronthaul_load
-from .precoding import ZF_FALLBACK_TOL, allocate_power
-from .sensing import calibrate_threshold
 
 # purposes of the per-drop random substreams
 _S_LAYOUT, _S_SHADOW, _S_SCHED, _S_FADING, _S_SYMBOL, _S_NOISE, _S_RCS, _S_DIRECT = range(8)
+
+
+# a projected ZF beam with norm at most this times sqrt(N) falls back to MF
+ZF_FALLBACK_TOL = 1e-9
 
 
 def _stream(cfg: ExperimentConfig, drop: int, purpose: int, *extra: int) -> np.random.Generator:
@@ -60,8 +63,47 @@ def _los_gains(points: np.ndarray, ap_positions: np.ndarray, f_ghz: float) -> np
     return linear_gain(pathloss_db(d, "ap_target_los", f_ghz))
 
 
+def allocate_power(
+    p_max: float,
+    n_served: int | np.ndarray,
+    sensing_active: bool | np.ndarray,
+    rho: float | None = None,
+) -> tuple:
+    """Split the per-AP budget over the served UEs and the sensing beam.
+
+    Default is an equal share per beam. With ``rho`` set, the sensing beam
+    takes rho * p_max and the UEs split the remainder equally. Returns
+    (per-UE power, sensing power), element-wise over array arguments; the
+    sensing power absorbs the floating point residual so the budget closes
+    exactly.
+    """
+    if p_max <= 0:
+        raise ValueError("p_max must be positive")
+    n = np.asarray(n_served, dtype=float)
+    sensing = np.asarray(sensing_active, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shared = p_max / (n + 1) if rho is None else (1.0 - rho) * p_max / n
+        per_ue = np.where(n > 0, np.where(sensing, shared, p_max / n), 0.0)
+    eta0 = np.where(sensing, np.maximum(p_max - n * per_ue, 0.0), 0.0)
+    return per_ue[()], eta0[()]
+
+
+def calibrate_threshold(total_rank: int, sigma_z2: float, target_pfa: float) -> float:
+    """Analytic false-alarm threshold for the fused statistic.
+
+    Under the noise-only hypothesis the statistic is a sum of ``total_rank``
+    squared magnitudes of independent complex Gaussians, i.e. Gamma(rank,
+    sigma_z2), so the threshold is the upper tail quantile at target_pfa.
+    """
+    if not 0.0 < target_pfa < 1.0:
+        raise ValueError("target_pfa must lie in (0, 1)")
+    if total_rank < 1:
+        raise ValueError("total_rank must be >= 1")
+    return sigma_z2 * float(gammainccinv(total_rank, target_pfa))
+
+
 class _DropContext:
-    """Per-drop precomputed geometry, gains and bookkeeping."""
+    """Per-drop geometry, gains, power split and ZF sets that the drop reads."""
 
     def __init__(
         self,
@@ -71,31 +113,25 @@ class _DropContext:
         schedule: ScanSchedule,
         gains: np.ndarray,
     ):
-        self.cfg = cfg
         self.layout = layout
         self.assignment = assignment
-        self.schedule = schedule
         geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
         f_ghz = cfg.carrier_ghz
+        corr = cfg.angular_corr_rad
 
         # flat cell table: per-region offsets into the concatenated cell list
-        offsets = []
-        centers = []
-        total = 0
-        for region in layout.regions:
-            offsets.append(total)
-            total += len(region.cells)
-            centers.extend(c.center for c in region.cells)
-        self.cell_offsets = offsets
-        self.cell_centers = np.array(centers)
+        cells = [cell for region in layout.regions for cell in region.cells]
+        n_cells = [len(region.cells) for region in layout.regions]
+        self.cell_offsets = np.cumsum([0] + n_cells[:-1])
+        cell_centers = np.array([cell.center for cell in cells])
         self.n_epochs = schedule.n_epochs
 
         # schedule in global cell ids: (n_epochs, L)
-        self.cell_of = schedule.epochs + np.array(offsets)[None, :]
+        self.cell_of = schedule.epochs + self.cell_offsets[None, :]
 
         # AP-side banks toward every cell center and every true target
-        self.a_cell = steering_bank(geom, layout.aps, layout.broadsides, self.cell_centers)
-        self.g_cell = _los_gains(self.cell_centers, layout.aps, f_ghz)
+        self.a_cell = steering_bank(geom, layout.aps, layout.broadsides, cell_centers)
+        self.g_cell = _los_gains(cell_centers, layout.aps, f_ghz)
         if len(layout.targets):
             self.a_tgt = steering_bank(geom, layout.aps, layout.broadsides, layout.targets)
             self.sqrt_g_tgt = np.sqrt(_los_gains(layout.targets, layout.aps, f_ghz))
@@ -103,92 +139,59 @@ class _DropContext:
             self.a_tgt = np.zeros((0, cfg.m_aps, cfg.n_antennas), dtype=complex)
             self.sqrt_g_tgt = np.zeros((0, cfg.m_aps))
 
-        # ground truth per cell: a target footprint inside the cell bounds
-        truth = np.zeros(total, dtype=bool)
-        for t, l in enumerate(layout.target_regions):
-            region = layout.regions[l]
-            for ci, cell in enumerate(region.cells):
-                if cell.contains_xy(layout.targets[t, 0], layout.targets[t, 1]):
-                    truth[offsets[l] + ci] = True
-        self.truth_cell = truth
+        # ground truth per cell: a target of the cell's region inside its
+        # half-open bounds [x0, x1) x [y0, y1)
+        bounds = np.array([cell.bounds for cell in cells])  # (C, 4): x0, y0, x1, y1
+        xy = layout.targets[:, None, :2]  # (T, 1, 2)
+        inside = np.all(bounds[:, :2] <= xy, axis=2) & np.all(xy < bounds[:, 2:], axis=2)
+        cell_region = np.repeat(np.arange(len(n_cells)), n_cells)
+        own = cell_region == np.asarray(layout.target_regions)[:, None]  # (T, C)
+        self.truth_cell = np.any(own & inside, axis=0)
 
         # RCS mixing: product-kernel square roots over the global rx/tx sets
         self.rx_all = np.asarray(assignment.rx_aps, dtype=int)
         self.tx_all = np.asarray(assignment.tx_aps, dtype=int)
-        corr = cfg.angular_corr_rad
-        self.s_rx_sqrt = []
-        self.s_tx_sqrt = []
-        for t in range(len(layout.targets)):
-            self.s_rx_sqrt.append(
-                psd_sqrt(view_angle_kernel(layout.targets[t], layout.aps[self.rx_all], corr))
-            )
-            self.s_tx_sqrt.append(
-                psd_sqrt(view_angle_kernel(layout.targets[t], layout.aps[self.tx_all], corr))
-            )
+        rx_aps, tx_aps = layout.aps[self.rx_all], layout.aps[self.tx_all]
+        self.s_rx_sqrt = [psd_sqrt(view_angle_kernel(t, rx_aps, corr)) for t in layout.targets]
+        self.s_tx_sqrt = [psd_sqrt(view_angle_kernel(t, tx_aps, corr)) for t in layout.targets]
 
         # cluster membership; receive APs also as positions inside rx_all
-        self.cluster_tx = []
-        self.cluster_rx = []
-        self.cluster_rx_pos = []
-        for tx_c, rx_c in assignment.sensing_clusters:
-            tx_c = np.asarray(tx_c, dtype=int)
-            rx_c = np.asarray(rx_c, dtype=int)
-            self.cluster_tx.append(tx_c)
-            self.cluster_rx.append(rx_c)
-            self.cluster_rx_pos.append(np.searchsorted(self.rx_all, rx_c))
+        clusters = assignment.sensing_clusters
+        self.cluster_tx = [np.asarray(tx_c, dtype=int) for tx_c, _ in clusters]
+        self.cluster_rx = [np.asarray(rx_c, dtype=int) for _, rx_c in clusters]
+        self.cluster_rx_pos = [np.searchsorted(self.rx_all, rx_c) for rx_c in self.cluster_rx]
 
-        # hypothesized reflectivity covariance per cell (cluster tx APs)
-        self.r_cell = [None] * total
-        self.r_region = []
-        for l, region in enumerate(layout.regions):
-            tx_c = self.cluster_tx[l]
-            for ci in range(len(region.cells)):
-                cid = offsets[l] + ci
-                self.r_cell[cid] = cfg.sigma_rcs2_m2 * view_angle_kernel(
-                    self.cell_centers[cid], layout.aps[tx_c], corr
-                )
-            self.r_region.append(
-                np.stack([self.r_cell[offsets[l] + ci] for ci in range(len(region.cells))])
-            )
+        # hypothesized reflectivity covariance per cell (cluster tx APs), by region
+        self.r_region = [
+            cfg.sigma_rcs2_m2
+            * np.stack([view_angle_kernel(c.center, layout.aps[tx_c], corr) for c in region.cells])
+            for region, tx_c in zip(layout.regions, self.cluster_tx)
+        ]
 
         # per-AP power split; the sensing beam absorbs the rounding residual
-        m_total = cfg.m_aps
-        self.n_served = np.array([len(assignment.served[m]) for m in range(m_total)])
-        self.sensing_flag = assignment.pointing >= 0
-        self.ue_share = np.zeros(m_total)
-        self.eta0 = np.zeros(m_total)
-        for m in range(m_total):
-            self.ue_share[m], self.eta0[m] = allocate_power(
-                cfg.p_max_w,
-                int(self.n_served[m]),
-                bool(self.sensing_flag[m]),
-                rho=cfg.sensing_power_fraction,
-            )
-
-        self.amp = np.zeros((cfg.k_ues, m_total))
+        n_served = np.array([len(served) for served in assignment.served])
+        sensing = assignment.pointing >= 0
+        ue_share, eta0 = allocate_power(
+            cfg.p_max_w, n_served, sensing, rho=cfg.sensing_power_fraction
+        )
+        self.amp = np.zeros((cfg.k_ues, cfg.m_aps))
         for k, aps in enumerate(assignment.serving):
-            self.amp[k, aps] = np.sqrt(self.ue_share[aps])
-        self.sqrt_eta0 = np.sqrt(self.eta0)
+            self.amp[k, aps] = np.sqrt(ue_share[aps])
+        self.sqrt_eta0 = np.sqrt(eta0)
+        self.sensing_tx = np.flatnonzero(sensing)
+        active = (n_served > 0) | sensing
+        budget = n_served * ue_share + eta0
+        self.power_dev_max = float(np.max(np.abs(budget[active] - cfg.p_max_w), initial=0.0))
 
-        self.sensing_tx = np.flatnonzero(self.sensing_flag)
-
-        # strongest served UEs per sensing AP, the ZF annulment order
+        # strongest served UEs per sensing AP, the ZF annulment order; only
+        # APs with a served UE to annul get a ZF set (k_zf <= N - 1 by validate)
         self.annul = {}
         if cfg.beamformer == "ZF" and cfg.k_zf > 0:
             for m in self.sensing_tx:
                 served = assignment.served[m]
-                if len(served) == 0:
-                    self.annul[int(m)] = np.zeros(0, dtype=int)
-                    continue
-                order = np.lexsort((served, -gains[served, m]))
-                n_null = min(cfg.k_zf, len(served), cfg.n_antennas - 1)
-                self.annul[int(m)] = served[order[:n_null]]
-
-        self.power_dev_max = 0.0
-        active = (self.n_served > 0) | self.sensing_flag
-        budget = self.n_served * self.ue_share + self.eta0
-        if np.any(active):
-            self.power_dev_max = float(np.max(np.abs(budget[active] - cfg.p_max_w)))
+                if len(served):
+                    order = np.lexsort((served, -gains[served, m]))
+                    self.annul[int(m)] = served[order[: cfg.k_zf]]
 
 
 def _sense_beams(
@@ -200,47 +203,30 @@ def _sense_beams(
     project out the annulled served-UE channels (QR basis) before
     renormalizing, falling back to MF when the projection vanishes.
     """
-    cfg = ctx.cfg
     n_fading, _, m_total, n_ant = h.shape
     w0 = np.zeros((n_fading, m_total, n_ant), dtype=complex)
     diag = DropDiagnostics(power_dev_max=ctx.power_dev_max)
     inv_sqrt_n = 1.0 / math.sqrt(n_ant)
-    for l in range(len(ctx.cluster_tx)):
-        members = [int(m) for m in ctx.sensing_tx if ctx.assignment.pointing[m] == l]
-        if not members:
-            continue
-        cells_l = epoch_cells[:, l]
-        a_mf = ctx.a_cell[cells_l][:, members]  # (F, n_m, N) cell-matched steering
-        zf_members = [
-            (i, m)
-            for i, m in enumerate(members)
-            if ctx.annul.get(m, np.zeros(0, dtype=int)).size > 0
-        ]
-        w0[:, members] = a_mf * inv_sqrt_n
-        if not zf_members:
-            continue
-        for i, m in zf_members:
-            annul = ctx.annul[m]
-            diag.zf_beams += n_fading
-            a = a_mf[:, i]  # (F, N)
-            h_ann = h[:, annul, m, :]  # (F, a, N)
-            basis = np.linalg.qr(h_ann.swapaxes(1, 2))[0]  # (F, N, a)
-            w = a - np.einsum(
-                "fna,fa->fn", basis, np.einsum("fna,fn->fa", basis.conj(), a), optimize=True
-            )
-            norms = np.linalg.norm(w, axis=1)
-            fallback = norms <= ZF_FALLBACK_TOL * math.sqrt(n_ant)
-            diag.zf_fallbacks += int(fallback.sum())
-            w = np.where(
-                fallback[:, None], a * inv_sqrt_n, w / np.maximum(norms, 1e-300)[:, None]
-            )
-            w0[:, m] = w
-            ok = ~fallback
-            if ok.any():
-                leak = np.abs(
-                    np.einsum("fan,fn->fa", h_ann[ok].conj(), w[ok], optimize=True)
-                )
-                diag.zf_leakage_max = max(diag.zf_leakage_max, float(leak.max()))
+    pointing = ctx.assignment.pointing
+    tx = ctx.sensing_tx
+    w0[:, tx] = ctx.a_cell[epoch_cells[:, pointing[tx]], tx] * inv_sqrt_n
+    for m, annul in ctx.annul.items():
+        diag.zf_beams += n_fading
+        a = ctx.a_cell[epoch_cells[:, pointing[m]], m]  # (F, N) cell-matched steering
+        h_ann = h[:, annul, m, :]  # (F, a, N)
+        basis = np.linalg.qr(h_ann.swapaxes(1, 2))[0]  # (F, N, a)
+        w = a - np.einsum(
+            "fna,fa->fn", basis, np.einsum("fna,fn->fa", basis.conj(), a), optimize=True
+        )
+        norms = np.linalg.norm(w, axis=1)
+        fallback = norms <= ZF_FALLBACK_TOL * math.sqrt(n_ant)
+        diag.zf_fallbacks += int(fallback.sum())
+        w = np.where(fallback[:, None], a * inv_sqrt_n, w / np.maximum(norms, 1e-300)[:, None])
+        w0[:, m] = w
+        ok = ~fallback
+        if ok.any():
+            leak = np.abs(np.einsum("fan,fn->fa", h_ann[ok].conj(), w[ok], optimize=True))
+            diag.zf_leakage_max = max(diag.zf_leakage_max, float(leak.max()))
     return w0, diag
 
 
@@ -326,7 +312,7 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
         noise = math.sqrt(sigma2) * complex_normal(noise_rng, (n_fading, m_total, n_ant))
 
         s_tx = np.einsum("fkmn,fk->fmn", w_amp, x, optimize=True)
-        s_tx += (ctx.sqrt_eta0[None, :, None] * w0) * x0[:, :, None]
+        s_tx += w0_amp * x0[:, :, None]
 
         if n_targets:
             c = np.einsum(
@@ -436,38 +422,37 @@ def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
 # --- experiment presets ------------------------------------------------------
 
 
+def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
+    """Check every arm's config, then run each under its key in lower case.
+
+    A bad arm fails before the first drop of any arm.
+    """
+    for arm_cfg in arms.values():
+        arm_cfg.validate()
+        check_serving_cap(arm_cfg)
+    return {key: run_experiment(arm_cfg, label=key.lower()) for key, arm_cfg in arms.items()}
+
+
 def preset_mode_comparison(cfg: ExperimentConfig) -> dict[str, ResultSet]:
     """The four clustering modes under common random numbers."""
-    return {
-        mode: run_experiment(replace(cfg, mode=mode), label=mode.lower()) for mode in VALID_MODES
-    }
+    return _run_arms({mode: replace(cfg, mode=mode) for mode in VALID_MODES})
 
 
 def preset_rx_sweep(cfg: ExperimentConfig, rx_counts: list[int]) -> dict[str, ResultSet]:
     """Vary the receive-AP count at a fixed per-region cluster size."""
     cluster_size = cfg.m_tx_per_region + cfg.m_rx_per_region
-    arms = {}
-    for rx in rx_counts:
-        if rx < 1:
-            raise ConfigError("receive-AP counts must be >= 1")
-        if rx >= cluster_size:
-            raise ConfigError(
-                f"rx={rx} leaves no transmit AP in a cluster of size {cluster_size}"
-            )
-        arm_cfg = replace(cfg, m_rx_per_region=rx, m_tx_per_region=cluster_size - rx)
-        arms[f"rx{rx}"] = run_experiment(arm_cfg, label=f"rx{rx}")
-    return arms
+    return _run_arms(
+        {
+            f"rx{rx}": replace(cfg, m_rx_per_region=rx, m_tx_per_region=cluster_size - rx)
+            for rx in rx_counts
+        }
+    )
 
 
 def preset_beamformer_comparison(
     cfg: ExperimentConfig, k_zf_values: list[int]
 ) -> dict[str, ResultSet]:
     """Matched-filter sensing beams against partial zero-forcing variants."""
-    for k_zf in k_zf_values:
-        if not 0 <= k_zf <= cfg.n_antennas - 1:
-            raise ConfigError(f"k_zf={k_zf} must lie in [0, {cfg.n_antennas - 1}]")
-    arms = {"mf": run_experiment(replace(cfg, beamformer="MF"), label="mf")}
-    for k_zf in k_zf_values:
-        arm_cfg = replace(cfg, beamformer="ZF", k_zf=k_zf)
-        arms[f"zf-k{k_zf}"] = run_experiment(arm_cfg, label=f"zf-k{k_zf}")
-    return arms
+    arms = {"mf": replace(cfg, beamformer="MF")}
+    arms.update({f"zf-k{k}": replace(cfg, beamformer="ZF", k_zf=k) for k in k_zf_values})
+    return _run_arms(arms)

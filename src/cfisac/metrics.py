@@ -6,7 +6,6 @@ records, the row order of each file, its number format and its name.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -130,19 +129,19 @@ class ResultSet:
 
     def sample_rows(self) -> Iterable[tuple[int, int, str, float]]:
         """Flatten to (drop, entity, metric, value) rows in a fixed order."""
-        n_drops = self.rates_bps.shape[0]
-        for d in range(n_drops):
-            for f in range(self.rates_bps.shape[1]):
-                for k in range(self.rates_bps.shape[2]):
-                    yield d, k, "rate_bps", self.rates_bps[d, f, k]
-            for name, arr in (
-                ("sensing_snr_db", self.sensing_snr_db),
-                ("statistic", self.statistics),
-                ("decision", self.decisions),
-            ):
-                for f in range(arr.shape[1]):
-                    for l in range(arr.shape[2]):
-                        yield d, l, name, float(arr[d, f, l])
+        per_region = (
+            ("sensing_snr_db", self.sensing_snr_db.tolist()),
+            ("statistic", self.statistics.tolist()),
+            ("decision", self.decisions.astype(float).tolist()),
+        )
+        for d, rates in enumerate(self.rates_bps.tolist()):
+            for row in rates:
+                for k, value in enumerate(row):
+                    yield d, k, "rate_bps", value
+            for name, arr in per_region:
+                for row in arr[d]:
+                    for l, value in enumerate(row):
+                        yield d, l, name, value
 
 
 def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> ResultSet:
@@ -179,20 +178,17 @@ def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> Re
 
 
 def write_samples_csv(path: str | Path, rows) -> None:
-    """One sample per row: drop, entity, metric, value."""
+    """One sample per row: drop, entity, metric, value, in CSV with CRLF row ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["drop", "entity", "metric", "value"])
-        for drop, entity, metric, value in rows:
-            writer.writerow([drop, entity, metric, repr(float(value))])
+        fh.write("drop,entity,metric,value\r\n")
+        fh.writelines(f"{d},{e},{m},{float(v)!r}\r\n" for d, e, m, v in rows)
 
 
 def write_cdf_csv(path: str | Path, curve: CdfCurve) -> None:
+    rows = zip(curve.values.tolist(), curve.probabilities.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "probability"])
-        for v, p in zip(curve.values, curve.probabilities):
-            writer.writerow([repr(float(v)), repr(float(p))])
+        fh.write("value,probability\r\n")
+        fh.writelines(f"{v!r},{p!r}\r\n" for v, p in rows)
 
 
 def _write_arm(out_dir: Path, rs: ResultSet) -> None:
@@ -203,12 +199,19 @@ def _write_arm(out_dir: Path, rs: ResultSet) -> None:
     )
     with open(out_dir / f"{rs.label}_detections.txt", "w") as fh:
         fh.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
-        for d, f, l in np.ndindex(rs.statistics.shape):
-            fh.write(
-                f"{d} {f} {l} {float(rs.statistics[d, f, l])!r} "
-                f"{float(rs.thresholds[d, f, l])!r} {int(rs.decisions[d, f, l])} "
-                f"{int(rs.truths[d, f, l])} {float(rs.sensing_snr_db[d, f, l])!r}\n"
+        columns = zip(
+            rs.statistics.ravel().tolist(),
+            rs.thresholds.ravel().tolist(),
+            rs.decisions.ravel().astype(int).tolist(),
+            rs.truths.ravel().astype(int).tolist(),
+            rs.sensing_snr_db.ravel().tolist(),
+        )
+        fh.writelines(
+            f"{d} {f} {l} {stat!r} {thr!r} {dec} {truth} {snr!r}\n"
+            for (d, f, l), (stat, thr, dec, truth, snr) in zip(
+                np.ndindex(rs.statistics.shape), columns
             )
+        )
 
 
 def _summarize(results: dict[str, ResultSet]) -> str:

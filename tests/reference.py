@@ -25,7 +25,7 @@ from cfisac.channel import (
     view_angle_kernel,
 )
 from cfisac.deployment import RangeCell
-from cfisac.precoding import ZF_FALLBACK_TOL, allocate_power
+from cfisac.harness import ZF_FALLBACK_TOL, allocate_power
 
 # --- view angles and steering ----------------------------------------------
 

@@ -6,12 +6,10 @@ network scale with 100 drops x 100 fading realizations under common random
 numbers, so this module dominates the suite's runtime (several minutes).
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
-from scipy.special import gammainccinv
 
 from cfisac.channel import complex_normal, psd_sqrt, view_angle_kernel
 from cfisac.clustering import build_assignment
@@ -25,7 +23,6 @@ from cfisac.harness import (
     preset_mode_comparison,
     preset_rx_sweep,
     run_drop,
-    run_experiment,
     ue_ap_gains,
 )
 from cfisac.metrics import fronthaul_load

@@ -1,9 +1,8 @@
 import os
-from pathlib import Path
 
 import pytest
 
-from cfisac.cli import build_parser, execute, main
+from cfisac.cli import build_parser, main
 
 TINY_CONFIG = """
 m_aps=10

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cfisac.harness import (
     _direct_channel_bank,
     _sense_beams,
     _stream,
+    calibrate_threshold,
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
@@ -36,7 +38,6 @@ from cfisac.harness import (
     ue_ap_gains,
 )
 from cfisac.metrics import _aggregate
-from cfisac.sensing import calibrate_threshold
 from reference import (
     ChannelRealization,
     TargetLink,
@@ -139,6 +140,18 @@ class TestRunExperiment:
             preset_rx_sweep(cfg, [0])
         with pytest.raises(ConfigError):
             preset_rx_sweep(cfg, [5])  # cluster size 5 leaves no transmit AP
+
+    def test_presets_reject_a_bad_arm_before_the_first_drop(self, monkeypatch):
+        drops = []
+        monkeypatch.setattr(
+            "cfisac.harness.run_drop", lambda cfg, d: drops.append(d) or run_drop(cfg, d)
+        )
+        cfg = ExperimentConfig(**TINY)
+        with pytest.raises(ConfigError):
+            preset_rx_sweep(cfg, [1, 5])  # rx=5 leaves no transmit AP
+        with pytest.raises(ConfigError):
+            preset_beamformer_comparison(cfg, [1, 4])  # N - 1 = 3
+        assert drops == []
 
     def test_beamformer_preset_rejects_large_kzf(self):
         cfg = ExperimentConfig(**TINY)
@@ -314,9 +327,13 @@ class TestBatchedPipelineMatchesOps:
             assert 10 * math.log10(snr) == pytest.approx(dr.sensing_snr_db[f, 0], rel=1e-9)
 
 
-def _drop_context(cfg, drop=0):
-    """The engine's per-drop context and fading tensor, drawn as run_drop does."""
-    layout = generate_layout(cfg, _stream(cfg, drop, _S_LAYOUT))
+def _drop_context(cfg, drop=0, layout=None):
+    """The engine's per-drop context and fading tensor, drawn as run_drop does.
+
+    A given ``layout`` replaces the drawn one.
+    """
+    if layout is None:
+        layout = generate_layout(cfg, _stream(cfg, drop, _S_LAYOUT))
     gains = ue_ap_gains(layout, cfg, _stream(cfg, drop, _S_SHADOW))
     assignment = build_assignment(layout, gains, cfg)
     schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
@@ -325,6 +342,50 @@ def _drop_context(cfg, drop=0):
         _stream(cfg, drop, _S_FADING), (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
     )
     return ctx, h
+
+
+def _truth_loop(layout):
+    """Ground truth per flat cell id through RangeCell.contains_xy, one target at a time."""
+    return np.array(
+        [
+            any(
+                cell.contains_xy(x, y)
+                for (x, y, _), t_region in zip(layout.targets, layout.target_regions)
+                if t_region == l
+            )
+            for l, region in enumerate(layout.regions)
+            for cell in region.cells
+        ]
+    )
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_contains_loop(self, seed):
+        cfg = ExperimentConfig(seed=seed, t_targets=3 * seed, n_fading=1)
+        ctx, _ = _drop_context(cfg)
+        layout = ctx.layout
+        np.testing.assert_array_equal(ctx.truth_cell, _truth_loop(layout))
+        assert ctx.truth_cell.sum() <= len(layout.targets)
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_targets_on_cell_edges(self, edge):
+        cfg = ExperimentConfig(seed=3, n_fading=1)
+        layout = generate_layout(cfg, _stream(cfg, 0, _S_LAYOUT))
+        targets, regions, cell_ids, offset = [], [], [], 0
+        for l, region in enumerate(layout.regions):
+            for ci in (0, len(region.cells) - 1):
+                x0, y0, x1, y1 = region.cells[ci].bounds
+                targets.append((x0, y0, 30.0) if edge == "lower" else (x1, y1, 30.0))
+                regions.append(l)
+                cell_ids.append(offset + ci)
+            offset += len(region.cells)
+        layout = replace(layout, targets=np.array(targets), target_regions=np.array(regions))
+        truth = _drop_context(cfg, layout=layout)[0].truth_cell
+        np.testing.assert_array_equal(truth, _truth_loop(layout))
+        # [x0, x1) x [y0, y1): a lower corner is inside its cell, an upper corner is not
+        inside = truth[cell_ids]
+        assert inside.all() if edge == "lower" else not inside.any()
 
 
 class TestBeams:

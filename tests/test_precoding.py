@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfisac.channel import ArrayGeometry, complex_normal
-from cfisac.precoding import allocate_power
+from cfisac.harness import allocate_power
 from reference import (
     BeamformingPlan,
     build_plan,
@@ -155,6 +155,26 @@ class TestAllocatePower:
         per_ue, eta0 = allocate_power(2.0, 4, True, rho=0.5)
         assert eta0 == pytest.approx(1.0)
         assert per_ue == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("rho", [None, 0.3])
+    def test_array_call_matches_scalar_split_bitwise(self, rho):
+        def split(p_max, n, sensing):
+            if not sensing:
+                return (p_max / n if n else 0.0), 0.0
+            if n == 0:
+                return 0.0, p_max
+            per_ue = p_max / (n + 1) if rho is None else (1.0 - rho) * p_max / n
+            return per_ue, max(p_max - n * per_ue, 0.0)
+
+        n_served = np.repeat(np.arange(41), 2)
+        sensing = np.tile([True, False], 41)
+        per_ue, eta0 = allocate_power(0.2, n_served, sensing, rho=rho)
+        for expected in (
+            [allocate_power(0.2, int(n), bool(s), rho=rho) for n, s in zip(n_served, sensing)],
+            [split(0.2, int(n), bool(s)) for n, s in zip(n_served, sensing)],
+        ):
+            assert per_ue.tobytes() == np.array([p for p, _ in expected]).tobytes()
+            assert eta0.tobytes() == np.array([e for _, e in expected]).tobytes()
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

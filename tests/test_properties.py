@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfisac.channel import ArrayGeometry
+from cfisac.harness import allocate_power
 from cfisac.metrics import empirical_cdf
-from cfisac.precoding import allocate_power
 from reference import steering_vector, wrap_angle
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)

@@ -11,9 +11,10 @@ from cfisac.channel import (
     psd_sqrt,
     view_angle_kernel,
 )
+from cfisac.cli import calibrate_threshold_mc
 from cfisac.config import ExperimentConfig
 from cfisac.deployment import generate_layout
-from cfisac.sensing import calibrate_threshold, calibrate_threshold_mc
+from cfisac.harness import calibrate_threshold
 from reference import (
     ChannelRealization,
     Dictionary,
