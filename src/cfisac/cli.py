@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a single experiment arm")
     add_common(p_run, needs_config=True)
-    p_run.add_argument("--rx", type=int, default=None, help="receive APs per region")
-    p_run.add_argument("--kzf", type=int, default=None, help="annulled UEs for ZF sensing beams")
 
     p_modes = sub.add_parser("preset-modes", help="UTC/UC/TC/CF comparison")
     add_common(p_modes, needs_config=False)
@@ -101,9 +99,6 @@ def _resolve_config(args) -> ExperimentConfig:
         "n_fading": args.fading,
         "pfa_target": args.pfa,
     }
-    if getattr(args, "command", "") == "run":
-        named["m_rx_per_region"] = args.rx
-        named["k_zf"] = args.kzf
     overrides = {k: str(v) for k, v in named.items() if v is not None}
     for item in args.extra:
         if "=" not in item:

@@ -8,6 +8,8 @@ reductions run through :mod:`cfisac.kernels`.
 Random streams are derived from (seed, drop, purpose[, entity]) tuples, so
 drops are order-independent and experiment arms that share a seed see
 identical layouts, shadowing and fading draws (common random numbers).
+``draw_drop`` is that shared draw; a preset makes it once per drop and
+evaluates every arm on it, and ``run_drop`` evaluates one arm.
 """
 
 from __future__ import annotations
@@ -249,13 +251,34 @@ def _comm_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return w_amp
 
 
-def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
-    """Simulate one drop: layout, clustering, then the batched fading sweep."""
-    cfg.validate()
+def draw_drop(
+    cfg: ExperimentConfig, drop_index: int
+) -> tuple[NetworkLayout, np.ndarray, ScanSchedule, np.ndarray]:
+    """The draw every arm of a drop shares: layout, gains, schedule and fading.
+
+    Returns (layout, shadowed UE-AP gains, scan schedule, h), with h of shape
+    (F, K, M, N) already scaled by sqrt(gains) and read-only, so an arm that
+    writes into it raises instead of changing the arms after it.
+    """
     layout = generate_layout(cfg, _stream(cfg, drop_index, _S_LAYOUT))
     gains = ue_ap_gains(layout, cfg, _stream(cfg, drop_index, _S_SHADOW))
-    assignment = build_assignment(layout, gains, cfg)
     schedule = build_scan_schedule(layout.regions, _stream(cfg, drop_index, _S_SCHED))
+    h = complex_normal(
+        _stream(cfg, drop_index, _S_FADING), (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+    )
+    h *= np.sqrt(gains)[:, :, None]
+    h.flags.writeable = False
+    return layout, gains, schedule, h
+
+
+def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None) -> DropResult:
+    """Simulate one arm of a drop: clustering, then the batched fading sweep.
+
+    ``drawn`` is this drop's ``draw_drop`` output; it is drawn here when None.
+    """
+    cfg.validate()
+    layout, gains, schedule, h = draw_drop(cfg, drop_index) if drawn is None else drawn
+    assignment = build_assignment(layout, gains, cfg)
     ctx = _DropContext(cfg, layout, assignment, schedule, gains)
 
     n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
@@ -263,8 +286,6 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
     n_targets = len(layout.targets)
     sigma2 = cfg.sigma_z2_w
 
-    h = complex_normal(_stream(cfg, drop_index, _S_FADING), (n_fading, k_ues, m_total, n_ant))
-    h *= np.sqrt(gains)[:, :, None]
     w_amp = _comm_beams(h, ctx.amp)
 
     # one scan epoch per fading realization, cycling through the sweep
@@ -425,12 +446,22 @@ def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
 def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
     """Check every arm's config, then run each under its key in lower case.
 
-    A bad arm fails before the first drop of any arm.
+    A bad arm fails before the first drop of any arm. Each drop is drawn once
+    and every arm is evaluated on it: the arms differ only in fields that
+    ``draw_drop`` does not read.
     """
     for arm_cfg in arms.values():
         arm_cfg.validate()
         check_serving_cap(arm_cfg)
-    return {key: run_experiment(arm_cfg, label=key.lower()) for key, arm_cfg in arms.items()}
+    if not arms:
+        return {}
+    shared = next(iter(arms.values()))  # any arm: they all draw the same drop
+    drops = {key: [] for key in arms}
+    for d in range(shared.n_drops):
+        drawn = draw_drop(shared, d)
+        for key, arm_cfg in arms.items():
+            drops[key].append(run_drop(arm_cfg, d, drawn))
+    return {key: _aggregate(arm_cfg, key.lower(), drops[key]) for key, arm_cfg in arms.items()}
 
 
 def preset_mode_comparison(cfg: ExperimentConfig) -> dict[str, ResultSet]:

@@ -30,6 +30,7 @@ from cfisac.harness import (
     _sense_beams,
     _stream,
     calibrate_threshold,
+    draw_drop,
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
@@ -108,6 +109,11 @@ class TestRunDrop:
         np.testing.assert_array_equal(layouts["UTC"][1], layouts["CF"][1])
         np.testing.assert_array_equal(layouts["UTC"][2], layouts["CF"][2])
 
+    def test_drawn_fading_is_read_only(self):
+        h = draw_drop(ExperimentConfig(**TINY), 0)[3]
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0, 0, 0] = 0.0
+
     def test_decision_consistent_with_threshold(self):
         dr = run_drop(ExperimentConfig(**TINY), 0)
         np.testing.assert_array_equal(dr.decisions, dr.statistics > dr.thresholds)
@@ -128,8 +134,29 @@ class TestRunExperiment:
             _aggregate(cfg, "short", [run_drop(cfg, 0)])
 
     def test_presets_share_layouts(self):
+        # a preset draws each drop once for all its arms; every arm must be
+        # bitwise the arm that run_experiment draws on its own
         cfg = ExperimentConfig(**TINY)
-        arms = preset_rx_sweep(cfg, [1, 2])
+        presets = [
+            preset_mode_comparison(cfg),
+            preset_rx_sweep(cfg, [1, 2]),
+            preset_beamformer_comparison(cfg, [1, 2]),
+        ]
+        for arms in presets:
+            for rs in arms.values():
+                alone = run_experiment(rs.config)
+                for field in (
+                    "rates_bps",
+                    "statistics",
+                    "thresholds",
+                    "decisions",
+                    "truths",
+                    "sensing_snr_db",
+                ):
+                    got, expected = getattr(rs, field), getattr(alone, field)
+                    assert np.array_equal(got.view(np.uint8), expected.view(np.uint8)), field
+                assert rs.diagnostics == alone.diagnostics
+        arms = presets[1]
         assert set(arms) == {"rx1", "rx2"}
         assert arms["rx1"].config.m_tx_per_region == 4
         assert arms["rx2"].config.m_tx_per_region == 3
@@ -142,16 +169,21 @@ class TestRunExperiment:
             preset_rx_sweep(cfg, [5])  # cluster size 5 leaves no transmit AP
 
     def test_presets_reject_a_bad_arm_before_the_first_drop(self, monkeypatch):
-        drops = []
+        calls = []
         monkeypatch.setattr(
-            "cfisac.harness.run_drop", lambda cfg, d: drops.append(d) or run_drop(cfg, d)
+            "cfisac.harness.draw_drop",
+            lambda cfg, d: calls.append(("draw_drop", d)) or draw_drop(cfg, d),
+        )
+        monkeypatch.setattr(
+            "cfisac.harness.run_drop",
+            lambda cfg, d, drawn=None: calls.append(("run_drop", d)) or run_drop(cfg, d, drawn),
         )
         cfg = ExperimentConfig(**TINY)
         with pytest.raises(ConfigError):
             preset_rx_sweep(cfg, [1, 5])  # rx=5 leaves no transmit AP
         with pytest.raises(ConfigError):
             preset_beamformer_comparison(cfg, [1, 4])  # N - 1 = 3
-        assert drops == []
+        assert calls == []
 
     def test_beamformer_preset_rejects_large_kzf(self):
         cfg = ExperimentConfig(**TINY)
@@ -328,20 +360,19 @@ class TestBatchedPipelineMatchesOps:
 
 
 def _drop_context(cfg, drop=0, layout=None):
-    """The engine's per-drop context and fading tensor, drawn as run_drop does.
+    """The engine's per-drop context and read-only fading tensor, from draw_drop.
 
-    A given ``layout`` replaces the drawn one.
+    A given ``layout`` replaces the drawn one; it keeps the drawn APs and UEs,
+    so the drawn gains, schedule and fading still belong to it.
     """
+    drawn, gains, schedule, h = draw_drop(cfg, drop)
     if layout is None:
-        layout = generate_layout(cfg, _stream(cfg, drop, _S_LAYOUT))
-    gains = ue_ap_gains(layout, cfg, _stream(cfg, drop, _S_SHADOW))
+        layout = drawn
+    else:
+        np.testing.assert_array_equal(layout.aps, drawn.aps)
+        np.testing.assert_array_equal(layout.ues, drawn.ues)
     assignment = build_assignment(layout, gains, cfg)
-    schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
-    ctx = _DropContext(cfg, layout, assignment, schedule, gains)
-    h = np.sqrt(gains)[None, :, :, None] * complex_normal(
-        _stream(cfg, drop, _S_FADING), (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
-    )
-    return ctx, h
+    return _DropContext(cfg, layout, assignment, schedule, gains), h
 
 
 def _truth_loop(layout):
@@ -402,6 +433,7 @@ class TestBeams:
         # there; the other realizations keep their projected beams
         cfg = ExperimentConfig(**{**TINY, "beamformer": "ZF", "k_zf": 2, "n_fading": 6})
         ctx, h = _drop_context(cfg)
+        h = h.copy()  # the drawn tensor is read-only
         epoch_cells = ctx.cell_of[np.arange(cfg.n_fading) % ctx.n_epochs]
         zf_aps = [m for m, annul in ctx.annul.items() if annul.size > 0]
         assert zf_aps
