@@ -32,7 +32,7 @@ from .channel import (
     view_angle_kernel,
 )
 from .clustering import ClusterAssignment, build_assignment, check_serving_cap
-from .config import ExperimentConfig, VALID_MODES
+from .config import ConfigError, ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
 from .metrics import DropDiagnostics, DropResult, ResultSet, _aggregate, fronthaul_load
 
@@ -233,22 +233,49 @@ def _sense_beams(
 
 
 def _comm_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Power-scaled MF beams h / ||h|| * amp, zero off the serving sets.
+    """Conjugated power-scaled MF beams conj(h) / ||h|| * amp, zero off the serving sets.
 
     Norms are taken only on the served (k, m) links. The complex result is
-    written once, through two real products on its float64 view: 1/||h||
-    (bitwise the same as dividing by ||h||), then amp.
+    written once: its real and imaginary parts times 1/||h||, with the
+    conjugating sign folded into the imaginary one (bitwise the same as
+    dividing by ||h|| and then conjugating), then times amp.
     """
     n_fading, k_ues, m_total, n_ant = h.shape
     served = np.flatnonzero(amp)  # flat (k, m) indices
     h_served = np.take(h.reshape(n_fading, k_ues * m_total, n_ant), served, axis=1)
     inv_norm = np.zeros((n_fading, k_ues * m_total))
     inv_norm[:, served] = 1.0 / np.linalg.norm(h_served, axis=2)
-    w_amp = np.empty_like(h)
-    w_view = w_amp.view(np.float64)
-    np.multiply(h.view(np.float64), inv_norm.reshape(n_fading, k_ues, m_total, 1), out=w_view)
+    inv_norm = inv_norm.reshape(n_fading, k_ues, m_total, 1)
+    w_conj = np.empty_like(h)
+    np.multiply(h.real, inv_norm, out=w_conj.real)
+    np.multiply(h.imag, -inv_norm, out=w_conj.imag)
+    w_view = w_conj.view(np.float64)
     w_view *= amp[:, :, None]
-    return w_amp
+    return w_conj
+
+
+def _beam_bank(
+    h: np.ndarray, amp: np.ndarray, w0_amp: np.ndarray, sensing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-AP bank of the conjugated beams of every AP that serves or senses.
+
+    Each AP's rows are the MF beams of its served UEs, ascending, then its
+    sensing beam w0_amp, with the same values as the nonzero entries of
+    ``_comm_beams`` and ``conj(w0_amp)``. A UE beam's column is its UE index
+    k; the sensing beam of ``sensing[s]`` has column K + s. Returns the
+    (rows, aps, columns) bank that ``kernels.bank_gains`` reads.
+    """
+    k_ues = h.shape[1]
+    m_comm, k_comm = np.nonzero(amp.T)  # served links, grouped by AP
+    h_comm = h[:, k_comm, m_comm, :]
+    w_comm = h_comm.conj()
+    w_comm *= (1.0 / np.linalg.norm(h_comm, axis=2))[:, :, None]
+    w_comm *= amp[k_comm, m_comm][:, None]
+    aps = np.concatenate([m_comm, sensing])
+    order = np.argsort(aps, kind="stable")  # an AP's sensing beam after its UE beams
+    rows = np.concatenate([w_comm, w0_amp[:, sensing].conj()], axis=1)[:, order]
+    columns = np.concatenate([k_comm, k_ues + np.arange(len(sensing))])[order]
+    return rows, aps[order], columns
 
 
 def draw_drop(
@@ -286,8 +313,6 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
     n_targets = len(layout.targets)
     sigma2 = cfg.sigma_z2_w
 
-    w_amp = _comm_beams(h, ctx.amp)
-
     # one scan epoch per fading realization, cycling through the sweep
     epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) global ids
 
@@ -316,11 +341,10 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
         direct = _direct_channel_bank(cfg, ctx, drop_index)
 
     # communication side is snapshot-independent: SINR uses beams and powers
-    a_mat = kernels.cross_gains(h, w_amp)
     w0_amp = ctx.sqrt_eta0[None, :, None] * w0
-    leak = kernels.sense_leakage(h, w0_amp)
-    diag_gain = np.abs(np.einsum("fkk->fk", a_mat)) ** 2
-    interference = (np.abs(a_mat) ** 2).sum(axis=2) - diag_gain
+    power, leak, transmit = _downlink(ctx, h, w0_amp)
+    diag_gain = np.einsum("fkk->fk", power)
+    interference = power.sum(axis=2) - diag_gain
     sinr = diag_gain / (interference + leak + sigma2)
     rates = cfg.bandwidth_hz * np.log2(1.0 + sinr)
 
@@ -332,8 +356,7 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
         x0 = np.exp(2j * np.pi * symbol_rng.random((n_fading, m_total)))
         noise = math.sqrt(sigma2) * complex_normal(noise_rng, (n_fading, m_total, n_ant))
 
-        s_tx = np.einsum("fkmn,fk->fmn", w_amp, x, optimize=True)
-        s_tx += w0_amp * x0[:, :, None]
+        s_tx = transmit(x, x0)
 
         if n_targets:
             c = np.einsum(
@@ -369,6 +392,40 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
         layout=layout,
         assignment=assignment,
     )
+
+
+def _downlink(ctx: _DropContext, h: np.ndarray, w0_amp: np.ndarray) -> tuple:
+    """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx(x, x0).
+
+    When no AP serves more than N UEs (UC/UTC cap the load there; TC/CF
+    only with K <= N), everything comes from the per-AP beam banks, whose
+    cost grows with the served links. Otherwise the dense (F, K, M, N)
+    beams serve all (k, m) links at once.
+    """
+    _, k_ues, m_total, n_ant = h.shape
+    sensing = ctx.sensing_tx
+    if max(map(len, ctx.assignment.served)) <= n_ant:
+        rows, aps, columns = _beam_bank(h, ctx.amp, w0_amp, sensing)
+        g = kernels.bank_gains(h, rows, aps, columns, k_ues + len(sensing))
+        power = (np.abs(g[:k_ues]) ** 2).transpose(1, 2, 0)
+        leak = (np.abs(g[k_ues:]) ** 2).sum(axis=0)
+
+        def transmit(x, x0):
+            symbols = np.concatenate([x, x0[:, sensing]], axis=1)
+            return kernels.bank_signals(rows, aps, columns, symbols, m_total)
+
+    else:
+        # leakage first: its temporaries and the beam tensor are never live together
+        leak = kernels.sense_leakage(h, w0_amp)
+        w_conj = _comm_beams(h, ctx.amp)
+        power = np.abs(kernels.cross_gains(h, w_conj)) ** 2
+
+        def transmit(x, x0):
+            s_tx = np.einsum("fkmn,fk->fmn", w_conj, x.conj(), optimize=True).conj()
+            s_tx += w0_amp * x0[:, :, None]
+            return s_tx
+
+    return power, leak, transmit
 
 
 def _detect_region(cfg, ctx, l, cells_l, s_tx, y, stat, snr_lin, ranks):
@@ -446,15 +503,15 @@ def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
 def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
     """Check every arm's config, then run each under its key in lower case.
 
-    A bad arm fails before the first drop of any arm. Each drop is drawn once
-    and every arm is evaluated on it: the arms differ only in fields that
-    ``draw_drop`` does not read.
+    An empty set of arms or a bad arm fails before the first drop of any
+    arm. Each drop is drawn once and every arm is evaluated on it: the arms
+    differ only in fields that ``draw_drop`` does not read.
     """
+    if not arms:
+        raise ConfigError("the preset has no arms: its list of values is empty")
     for arm_cfg in arms.values():
         arm_cfg.validate()
         check_serving_cap(arm_cfg)
-    if not arms:
-        return {}
     shared = next(iter(arms.values()))  # any arm: they all draw the same drop
     drops = {key: [] for key in arms}
     for d in range(shared.n_drops):

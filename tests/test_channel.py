@@ -157,13 +157,10 @@ class TestCorrelatedRcs:
     def test_single_pair_variance(self):
         # sigma_RCS^2 = 10 dBsm = 10 m^2 linear
         aps = np.array([[100.0, 0.0, 10.0], [0.0, 100.0, 10.0]])
-        rng = np.random.default_rng(0)
-        draws = np.array(
-            [
-                draw_correlated_rcs(np.zeros(3), [1], [0], aps, self.MODEL, rng)[(0, 1)]
-                for _ in range(100_000)
-            ]
-        )
+        # the law of draw_correlated_rcs(np.zeros(3), [1], [0], aps, ...), 100 000 draws at once
+        cov = rcs_pair_covariance(np.zeros(3), aps[[0]], aps[[1]], self.MODEL)
+        g = complex_normal(np.random.default_rng(0), (cov.shape[0], 100_000))
+        draws = (psd_sqrt(cov) @ g)[0]
         assert float(np.mean(np.abs(draws) ** 2)) == pytest.approx(10.0, rel=0.02)
         assert abs(np.mean(draws)) < 0.05
 

@@ -123,6 +123,13 @@ class TestExecution:
         assert (out / "rx1_samples.csv").exists()
         assert (out / "rx2_samples.csv").exists()
 
+    def test_empty_rx_sweep_is_rejected_before_writing(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["preset-rx-sweep", "--config", str(config_file), "--rx", ",", "--out", str(out)]
+        assert main(argv) == 1
+        assert "the preset has no arms" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_set_override(self, config_file, capsys):
         code = main(
             ["validate-config", "--config", str(config_file), "--set", "bandwidth_hz=10e6"]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfisac import harness, kernels
 from cfisac.channel import (
     ArrayGeometry,
     complex_normal,
@@ -113,6 +114,29 @@ class TestRunDrop:
         h = draw_drop(ExperimentConfig(**TINY), 0)[3]
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "mode,banked", [("UTC", True), ("UC", True), ("TC", False), ("CF", False)]
+    )
+    def test_downlink_path_follows_the_serving_load(self, mode, banked, monkeypatch):
+        # baseline K=32 > N=8: UC/UTC cap every AP at N UEs, TC/CF serve all K from each
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for module, name in (
+            (kernels, "bank_gains"),
+            (kernels, "cross_gains"),
+            (harness, "_comm_beams"),
+        ):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        run_drop(ExperimentConfig(mode=mode, n_fading=2), 0)
+        assert calls == (["bank_gains"] if banked else ["_comm_beams", "cross_gains"])
 
     def test_decision_consistent_with_threshold(self):
         dr = run_drop(ExperimentConfig(**TINY), 0)
@@ -244,11 +268,13 @@ class TestBatchedPipelineMatchesOps:
     """
 
     @pytest.mark.parametrize(
-        "mode,beamformer,k_zf", [("UTC", "MF", 0), ("UTC", "ZF", 1), ("CF", "MF", 0)]
+        "mode,beamformer,k_zf",
+        [("UTC", "MF", 0), ("UTC", "ZF", 1), ("CF", "MF", 0), ("UC", "MF", 0), ("TC", "MF", 0)],
     )
     def test_single_realization_equivalence(self, mode, beamformer, k_zf):
+        # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense beams
         cfg = ExperimentConfig(
-            **{**TINY, "mode": mode, "beamformer": beamformer, "k_zf": k_zf}
+            **{**TINY, "k_ues": 5, "mode": mode, "beamformer": beamformer, "k_zf": k_zf}
         )
         drop = 0
         dr = run_drop(cfg, drop)
@@ -423,7 +449,8 @@ class TestBeams:
     @pytest.mark.parametrize("mode", ["UTC", "CF"])
     def test_comm_beams_bitwise_match_normalized_channel(self, mode):
         ctx, h = _drop_context(ExperimentConfig(**{**TINY, "mode": mode, "n_fading": 6}))
-        expected = (h / np.linalg.norm(h, axis=3, keepdims=True)) * ctx.amp[None, :, :, None]
+        beams = (h / np.linalg.norm(h, axis=3, keepdims=True)) * ctx.amp[None, :, :, None]
+        expected = beams.conj()
         got = _comm_beams(h, ctx.amp)
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 

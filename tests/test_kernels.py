@@ -3,6 +3,7 @@ import pytest
 
 from cfisac import kernels
 from cfisac.channel import complex_normal
+from cfisac.harness import _beam_bank, _comm_beams
 
 
 def random_problem(rng, n_fading=3, n_ues=5, n_aps=7, n_ant=4, q=2):
@@ -20,7 +21,7 @@ class TestDispatch:
     def test_cross_gains_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         h, w_amp = random_problem(rng, n_fading=2, n_ues=3, n_aps=4, n_ant=2)
-        got = kernels.cross_gains(h, w_amp)
+        got = kernels.cross_gains(h, w_amp.conj())
         for f in range(2):
             for k in range(3):
                 for j in range(3):
@@ -75,3 +76,42 @@ class TestDispatch:
             np.zeros((3, 0, 5), dtype=complex),
         )
         np.testing.assert_array_equal(out, np.zeros((3, 2, 4)))
+
+
+class TestBeamBank:
+    """The per-AP bank path against the dense beams it replaces."""
+
+    def test_bank_matches_dense_path(self):
+        rng = np.random.default_rng(8)
+        n_fading, n_ues, n_aps, n_ant = 4, 7, 6, 3
+        h = complex_normal(rng, (n_fading, n_ues, n_aps, n_ant))
+        amp = rng.uniform(0.5, 2.0, (n_ues, n_aps)) * (rng.random((n_ues, n_aps)) < 0.5)
+        amp[:, [2, 3]] = 0.0  # AP 2 only senses, AP 3 is idle
+        amp[0, 1] = 1.0  # AP 1 serves and does not sense
+        sensing = np.array([0, 2, 4])
+        w0_amp = np.zeros((n_fading, n_aps, n_ant), dtype=complex)
+        w0_amp[:, sensing] = complex_normal(rng, (n_fading, len(sensing), n_ant))
+
+        w_conj = _comm_beams(h, amp)
+        rows, aps, columns = _beam_bank(h, amp, w0_amp, sensing)
+        comm = columns < n_ues
+        assert np.all(np.diff(aps) >= 0) and 3 not in aps
+        np.testing.assert_array_equal(rows[:, comm], w_conj[:, columns[comm], aps[comm]])
+        np.testing.assert_array_equal(rows[:, ~comm], w0_amp[:, aps[~comm]].conj())
+
+        g = kernels.bank_gains(h, rows, aps, columns, n_ues + len(sensing))
+        a = kernels.cross_gains(h, w_conj)
+        np.testing.assert_allclose(
+            np.abs(g[:n_ues].transpose(1, 2, 0)) ** 2, np.abs(a) ** 2, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            (np.abs(g[n_ues:]) ** 2).sum(axis=0), kernels.sense_leakage(h, w0_amp), rtol=1e-12
+        )
+
+        x = np.exp(2j * np.pi * rng.random((n_fading, n_ues)))
+        x0 = np.exp(2j * np.pi * rng.random((n_fading, n_aps)))
+        symbols = np.concatenate([x, x0[:, sensing]], axis=1)
+        s_tx = kernels.bank_signals(rows, aps, columns, symbols, n_aps)
+        expected = np.einsum("fkmn,fk->fmn", w_conj.conj(), x) + w0_amp * x0[:, :, None]
+        np.testing.assert_allclose(s_tx, expected, rtol=1e-12)
+        assert not s_tx[:, 3].any()
