@@ -30,9 +30,11 @@ def calibrate_threshold_mc(
     n_draws: int,
     rng: np.random.Generator,
 ) -> float:
-    """Monte Carlo cross-check: empirical quantile of noise-only statistics."""
-    if not 0.0 < target_pfa < 1.0:
-        raise ValueError("target_pfa must lie in (0, 1)")
+    """Monte Carlo cross-check: empirical quantile of noise-only statistics.
+
+    ``execute`` calls ``calibrate_threshold`` first, which rejects a target_pfa
+    outside (0, 1) and a total_rank below 1.
+    """
     z = complex_normal(rng, (n_draws, total_rank))
     stats = sigma_z2 * (np.abs(z) ** 2).sum(axis=1)
     return float(np.quantile(stats, 1.0 - target_pfa))

@@ -18,11 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, VALID_MODES
+from .config import TARGET_CENTRIC_MODES, USER_CENTRIC_MODES, ConfigError, ExperimentConfig
 from .deployment import NetworkLayout
-
-USER_CENTRIC_MODES = ("UTC", "UC")
-TARGET_CENTRIC_MODES = ("UTC", "TC")
 
 
 @dataclass
@@ -66,23 +63,12 @@ def assign_ap_modes(
     but every cluster contains all APs, so all transmit APs illuminate and
     all receive APs listen for every region; each transmit AP points its
     sensing beam at the cells of its nearest region.
-    """
-    if mode not in VALID_MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if m_rx_per_region < 1:
-        raise ConfigError("need at least one receive AP per region")
-    if m_tx_per_region < 1:
-        raise ConfigError("need at least one transmit sensing AP per region")
-    m_total = len(layout.aps)
-    n_regions = len(layout.regions)
-    target_centric = mode in TARGET_CENTRIC_MODES
-    need = (m_tx_per_region + m_rx_per_region if target_centric else m_rx_per_region) * n_regions
-    if need > m_total or (not target_centric and need >= m_total):
-        raise ConfigError(
-            f"{m_total} APs cannot satisfy {n_regions} regions with "
-            f"(tx={m_tx_per_region}, rx={m_rx_per_region}) in mode {mode}"
-        )
 
+    The sizes are those of a validated config: ExperimentConfig.validate
+    checks that the APs cover every region's claim.
+    """
+    m_total = len(layout.aps)
+    target_centric = mode in TARGET_CENTRIC_MODES
     unclaimed = np.ones(m_total, dtype=bool)
     rx_all: list[int] = []
     pointing = np.full(m_total, -1, dtype=int)
@@ -166,8 +152,8 @@ def associate_ues(
     fewer than q APs and the AP fewer than cap UEs. When the cap does not
     bind, that is each UE's q strongest APs (ties broken by lower AP index).
     A ConfigError is raised if the cap leaves a UE short of q APs, which
-    cap * (|M_tx| - q + 1) >= q K rules out (check_serving_cap tests it
-    for n_antennas before any drop).
+    cap * (|M_tx| - q + 1) >= q K rules out (ExperimentConfig.validate
+    checks it, and q <= |M_tx|, for cap = n_antennas before any drop).
 
     build_assignment sets the cap to n_antennas (the paper gives no value):
     an N-antenna AP resolves at most N spatial streams, and a bounded load
@@ -175,12 +161,8 @@ def associate_ues(
     (scalable cell-free massive MIMO). TC/CF, the non-scalable arms, serve
     every UE from every transmit AP, uncapped.
     """
-    if mode not in VALID_MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
     k_ues, m_total = large_scale.shape
     if mode in USER_CENTRIC_MODES:
-        if q > len(tx_aps):
-            raise ConfigError(f"q={q} exceeds the {len(tx_aps)} available transmit APs")
         gains_tx = large_scale[:, tx_aps]
         ranked = np.lexsort((np.broadcast_to(tx_aps, gains_tx.shape), -gains_tx), axis=-1)
         picks = _capped_greedy(gains_tx, ranked, q, k_ues if cap is None else cap)
@@ -198,35 +180,9 @@ def associate_ues(
     return serving, served
 
 
-def check_serving_cap(config: ExperimentConfig) -> None:
-    """Reject a user-centric config whose per-AP cap can leave a UE short.
-
-    Every drop has |M_tx| = m_aps - m_rx_per_region * l_regions transmit
-    APs, and build_assignment caps each at n_antennas UEs. The greedy pass
-    of associate_ues gives every UE q APs whatever the gains if
-    n_antennas * (|M_tx| - q + 1) >= q K. A config that misses this bound
-    is rejected from its values alone, so it fails before its first drop
-    instead of on the drops whose gains happen not to fit. Configs with
-    fewer than q transmit APs are left to assign_ap_modes and
-    associate_ues, which reject them in every drop.
-    """
-    if config.mode not in USER_CENTRIC_MODES:
-        return
-    m_tx = config.m_aps - config.m_rx_per_region * config.l_regions
-    q = config.q_serving
-    if q <= m_tx and config.n_antennas * (m_tx - q + 1) < q * config.k_ues:
-        raise ConfigError(
-            f"mode {config.mode} caps each AP at n_antennas={config.n_antennas} UEs, so "
-            f"{m_tx} transmit APs cannot always give each of {config.k_ues} UEs "
-            f"q_serving={q} APs; need n_antennas * (m_aps - m_rx_per_region * "
-            f"l_regions - q_serving + 1) >= q_serving * k_ues"
-        )
-
-
 def build_assignment(
     layout: NetworkLayout, large_scale: np.ndarray, config: ExperimentConfig
 ) -> ClusterAssignment:
-    check_serving_cap(config)
     tx_aps, rx_aps, clusters, pointing = assign_ap_modes(
         layout, config.mode, config.m_tx_per_region, config.m_rx_per_region
     )

@@ -10,6 +10,8 @@ from typing import Optional
 SPEED_OF_LIGHT = 3e8  # m/s
 
 VALID_MODES = ("UTC", "UC", "TC", "CF")
+USER_CENTRIC_MODES = ("UTC", "UC")
+TARGET_CENTRIC_MODES = ("UTC", "TC")
 VALID_BEAMFORMERS = ("MF", "ZF")
 
 
@@ -155,6 +157,36 @@ class ExperimentConfig:
             raise ConfigError("sensing_power_fraction must lie in [0, 1]")
         if self.direct_residual < 0.0:
             raise ConfigError("direct_residual must be >= 0")
+
+        # the AP partition of every drop: each region claims m_rx receive APs,
+        # plus m_tx transmit APs in target-centric modes; the other modes must
+        # leave a transmit AP over
+        mode, n_regions = self.mode, self.l_regions
+        rx, tx = self.m_rx_per_region, self.m_tx_per_region
+        target_centric = mode in TARGET_CENTRIC_MODES
+        need = (tx + rx if target_centric else rx) * n_regions
+        if need > self.m_aps or (not target_centric and need >= self.m_aps):
+            raise ConfigError(
+                f"{self.m_aps} APs cannot satisfy {n_regions} regions with "
+                f"(tx={tx}, rx={rx}) in mode {mode}"
+            )
+        if mode not in USER_CENTRIC_MODES:
+            return self
+        # user-centric serving: each UE gets q of the |M_tx| = m_aps - m_rx L
+        # transmit APs, each AP at most n_antennas UEs. The greedy association
+        # fills every UE whatever the gains if n_antennas (|M_tx| - q + 1) >= q K,
+        # so a config that misses the bound fails here, not on the drops whose
+        # gains happen not to fit
+        m_tx, q = self.m_aps - rx * n_regions, self.q_serving
+        if q > m_tx:
+            raise ConfigError(f"q={q} exceeds the {m_tx} available transmit APs")
+        if self.n_antennas * (m_tx - q + 1) < q * self.k_ues:
+            raise ConfigError(
+                f"mode {mode} caps each AP at n_antennas={self.n_antennas} UEs, so "
+                f"{m_tx} transmit APs cannot always give each of {self.k_ues} UEs "
+                f"q_serving={q} APs; need n_antennas * (m_aps - m_rx_per_region * "
+                f"l_regions - q_serving + 1) >= q_serving * k_ues"
+            )
         return self
 
     # --- flat-file round trip -----------------------------------------------

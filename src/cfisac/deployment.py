@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 
 
 @dataclass
@@ -33,10 +33,6 @@ class RangeCell:
             cy + self.extent_y / 2.0,
         )
 
-    def contains_xy(self, x: float, y: float) -> bool:
-        x0, y0, x1, y1 = self.bounds
-        return (x0 <= x < x1) and (y0 <= y < y1)
-
 
 @dataclass
 class SensingRegion:
@@ -52,9 +48,6 @@ class SensingRegion:
     @property
     def center_xy(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
-    def contains_xy(self, x: float, y: float) -> bool:
-        return (self.x_min <= x < self.x_max) and (self.y_min <= y < self.y_max)
 
 
 @dataclass
@@ -89,8 +82,6 @@ class ScanSchedule:
 
 def region_grid_shape(l_regions: int) -> tuple[int, int]:
     """Rows/cols of the region tiling: the most square factorization of L."""
-    if l_regions < 1:
-        raise ConfigError("number of regions must be >= 1")
     rows = int(math.isqrt(l_regions))
     while l_regions % rows != 0:
         rows -= 1
@@ -106,8 +97,6 @@ def build_range_cell_grid(
     not divide the region side; an extent at least as large as the region
     yields the single-cell degenerate grid.
     """
-    if cell_extent <= 0:
-        raise ConfigError("cell_extent must be positive")
     width = region.x_max - region.x_min
     height = region.y_max - region.y_min
     nx = max(1, math.ceil(width / cell_extent - 1e-9))
@@ -151,7 +140,6 @@ def generate_layout(config: ExperimentConfig, rng: np.random.Generator) -> Netwo
     targets are split as evenly as possible over the regions, uniform in
     (x, y) within their region and uniform in height.
     """
-    config.validate()
     regions = build_regions(config)
     side = config.area_side_m
 
@@ -162,9 +150,8 @@ def generate_layout(config: ExperimentConfig, rng: np.random.Generator) -> Netwo
 
     # even split: T // L targets per region, remainder to the lowest indices
     base, extra = divmod(config.t_targets, config.l_regions)
-    target_regions = np.concatenate(
-        [np.full(base + (1 if l < extra else 0), l, dtype=int) for l in range(config.l_regions)]
-    ) if config.t_targets else np.zeros(0, dtype=int)
+    counts = [base + (1 if l < extra else 0) for l in range(config.l_regions)]
+    target_regions = np.repeat(np.arange(config.l_regions), counts)
 
     targets = np.zeros((config.t_targets, 3))
     for t, l in enumerate(target_regions):
@@ -200,8 +187,6 @@ def build_scan_schedule(regions: Sequence[SensingRegion], rng: np.random.Generat
     """
     n_regions = len(regions)
     counts = [len(r.cells) for r in regions]
-    if min(counts) < 1:
-        raise ConfigError("every region needs at least one range cell")
     n_epochs = max(counts)
     centers = [np.array([c.center[:2] for c in r.cells]) for r in regions]
 

@@ -31,7 +31,7 @@ from .channel import (
     steering_bank,
     view_angle_kernel,
 )
-from .clustering import ClusterAssignment, build_assignment, check_serving_cap
+from .clustering import ClusterAssignment, build_assignment
 from .config import ConfigError, ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
 from .metrics import DropDiagnostics, DropResult, ResultSet, _aggregate, fronthaul_load
@@ -79,8 +79,6 @@ def allocate_power(
     sensing power absorbs the floating point residual so the budget closes
     exactly.
     """
-    if p_max <= 0:
-        raise ValueError("p_max must be positive")
     n = np.asarray(n_served, dtype=float)
     sensing = np.asarray(sensing_active, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -134,12 +132,8 @@ class _DropContext:
         # AP-side banks toward every cell center and every true target
         self.a_cell = steering_bank(geom, layout.aps, layout.broadsides, cell_centers)
         self.g_cell = _los_gains(cell_centers, layout.aps, f_ghz)
-        if len(layout.targets):
-            self.a_tgt = steering_bank(geom, layout.aps, layout.broadsides, layout.targets)
-            self.sqrt_g_tgt = np.sqrt(_los_gains(layout.targets, layout.aps, f_ghz))
-        else:
-            self.a_tgt = np.zeros((0, cfg.m_aps, cfg.n_antennas), dtype=complex)
-            self.sqrt_g_tgt = np.zeros((0, cfg.m_aps))
+        self.a_tgt = steering_bank(geom, layout.aps, layout.broadsides, layout.targets)
+        self.sqrt_g_tgt = np.sqrt(_los_gains(layout.targets, layout.aps, f_ghz))
 
         # ground truth per cell: a target of the cell's region inside its
         # half-open bounds [x0, x1) x [y0, y1)
@@ -358,13 +352,10 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
 
         s_tx = transmit(x, x0)
 
-        if n_targets:
-            c = np.einsum(
-                "tpn,fpn->ftp", ctx.a_tgt[:, ctx.tx_all].conj(), s_tx[:, ctx.tx_all], optimize=True
-            )
-            echo = kernels.echo_mix(ctx.a_tgt[:, ctx.rx_all], ab, c)
-        else:
-            echo = np.zeros((n_fading, n_rx_all, n_ant), dtype=complex)
+        c = np.einsum(
+            "tpn,fpn->ftp", ctx.a_tgt[:, ctx.tx_all].conj(), s_tx[:, ctx.tx_all], optimize=True
+        )
+        echo = kernels.echo_mix(ctx.a_tgt[:, ctx.rx_all], ab, c)
         y = echo + noise[:, ctx.rx_all]
         if direct is not None:
             y = y + cfg.direct_residual * np.einsum(
@@ -492,7 +483,6 @@ def _direct_channel_bank(cfg: ExperimentConfig, ctx: _DropContext, drop_index: i
 def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
     """Run every drop sequentially and aggregate into a ResultSet."""
     cfg.validate()
-    check_serving_cap(cfg)
     drops = [run_drop(cfg, d) for d in range(cfg.n_drops)]
     return _aggregate(cfg, label, drops)
 
@@ -511,7 +501,6 @@ def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
         raise ConfigError("the preset has no arms: its list of values is empty")
     for arm_cfg in arms.values():
         arm_cfg.validate()
-        check_serving_cap(arm_cfg)
     shared = next(iter(arms.values()))  # any arm: they all draw the same drop
     drops = {key: [] for key in arms}
     for d in range(shared.n_drops):

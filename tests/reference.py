@@ -1,7 +1,8 @@
 """Scalar reference model that the tests compare the batched engine against.
 
 One link, one AP or one UE at a time, with explicit dict maps and plain
-loops: the view angles and steering vectors, the AP-AP and target channels,
+loops: the half-open containment test of a region or cell footprint, the
+view angles and steering vectors, the AP-AP and target channels,
 the correlated RCS draw, the per-AP beams and transmit vectors, the
 detection dictionary with its GLRT and sensing SNR, and the downlink SINR.
 The library never calls any of it (tests/test_reference.py checks that no
@@ -26,6 +27,18 @@ from cfisac.channel import (
 )
 from cfisac.deployment import RangeCell
 from cfisac.harness import ZF_FALLBACK_TOL, allocate_power
+
+# --- footprints -------------------------------------------------------------
+
+
+def contains_xy(bounds: tuple[float, float, float, float], x: float, y: float) -> bool:
+    """Whether (x, y) lies in the half-open footprint [x0, x1) x [y0, y1).
+
+    ``bounds`` is (x0, y0, x1, y1), as ``RangeCell.bounds`` gives it.
+    """
+    x0, y0, x1, y1 = bounds
+    return (x0 <= x < x1) and (y0 <= y < y1)
+
 
 # --- view angles and steering ----------------------------------------------
 

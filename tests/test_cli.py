@@ -1,8 +1,11 @@
 import os
+from pathlib import Path
 
 import pytest
 
 from cfisac.cli import build_parser, main
+
+BASELINE = str(Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg")
 
 TINY_CONFIG = """
 m_aps=10
@@ -66,6 +69,33 @@ class TestExecution:
         path.write_text("pfa_target=1.5\n")
         assert main(["validate-config", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["m_rx_per_region=20"],
+            ["m_tx_per_region=40"],
+            ["q_serving=60"],
+            ["n_antennas=2"],
+            ["mode=CF", "m_rx_per_region=16"],
+        ],
+        ids=["rx", "tx", "q", "cap", "cf-rx"],
+    )
+    def test_validate_config_rejects_what_run_rejects(self, overrides, tmp_path, capsys):
+        # cluster sizes no drop can satisfy fail in validate(), before any drop
+        args = ["--config", BASELINE, *(a for o in overrides for a in ("--set", o))]
+        assert main(["validate-config", *args]) == 1
+        validate_err = capsys.readouterr().err
+        out = tmp_path / "run"
+        assert main(["run", *args, "--drops", "1", "--fading", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == validate_err
+        assert validate_err.startswith("error: ") and validate_err.count("\n") == 1
+        assert not out.exists()
+
+    def test_calibrate_pfa_bad_pfa(self, capsys):
+        argv = ["calibrate-pfa", "--rank", "1", "--pfa", "1.5", "--mc-draws", "10"]
+        assert main(argv) == 1
+        assert "target_pfa must lie in (0, 1)" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["validate-config", "--config", "/no/such/file.cfg"]) == 1

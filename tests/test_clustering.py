@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from cfisac.clustering import (
-    assign_ap_modes,
-    associate_ues,
-    build_assignment,
-    check_serving_cap,
-)
+from cfisac.clustering import assign_ap_modes, associate_ues, build_assignment
 from cfisac.config import ConfigError, ExperimentConfig
 from cfisac.deployment import generate_layout
 from cfisac.harness import _S_LAYOUT, _S_SHADOW, _stream, ue_ap_gains
@@ -50,16 +45,22 @@ class TestAssignApModes:
                 assert len(rx_c) == len(assignment.rx_aps)
 
     def test_zero_rx_rejected(self):
-        cfg = ExperimentConfig()
-        layout = generate_layout(cfg, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            assign_ap_modes(layout, "UTC", 6, 0)
+        # assign_ap_modes trusts its sizes: ExperimentConfig.validate checks them
+        with pytest.raises(ConfigError, match="m_rx_per_region"):
+            ExperimentConfig(m_rx_per_region=0).validate()
+        with pytest.raises(ConfigError, match="m_tx_per_region"):
+            ExperimentConfig(m_tx_per_region=0).validate()
 
     def test_insufficient_aps_rejected(self):
-        cfg = ExperimentConfig(m_aps=16)
-        layout = generate_layout(cfg, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            assign_ap_modes(layout, "UTC", 6, 2)  # needs 32
+        # target-centric regions claim (6 + 2) * 4 = 32 APs
+        for mode in ("UTC", "TC"):
+            with pytest.raises(ConfigError, match="16 APs cannot satisfy 4 regions"):
+                ExperimentConfig(mode=mode, m_aps=16).validate()
+        ExperimentConfig(mode="TC", m_aps=32).validate()
+        # the others claim 2 * 4 = 8 receive APs and must leave a transmit AP
+        with pytest.raises(ConfigError, match="8 APs cannot satisfy 4 regions"):
+            ExperimentConfig(mode="CF", m_aps=8).validate()
+        ExperimentConfig(mode="CF", m_aps=9).validate()
 
     def test_single_region_distance_ranking(self):
         # 8 APs on a line, region center at 500: ranking is by hand-sorted
@@ -178,22 +179,29 @@ class TestAssociateUes:
             assert all(len(ks) == 6 for ks in served)
 
     def test_q_too_large_rejected(self):
-        with pytest.raises(ConfigError):
-            associate_ues(np.ones((2, 4)), np.arange(3), 5, "UTC")
+        # 64 - 2 * 4 = 56 transmit APs; TC/CF serve from all of them
+        for mode in ("UTC", "UC"):
+            with pytest.raises(ConfigError, match="q=57 exceeds the 56 available"):
+                ExperimentConfig(mode=mode, q_serving=57).validate()
+        for mode in ("TC", "CF"):
+            ExperimentConfig(mode=mode, q_serving=57).validate()
 
     def test_too_few_antennas_for_the_cap_rejected_from_config(self):
         # baseline with 2 antennas: 56 transmit APs x cap 2 = 112 < q K = 128
         # links, so no drop fits; the config is rejected before any gains
         for mode in ("UTC", "UC"):
-            cfg = ExperimentConfig(mode=mode, n_antennas=2)
             with pytest.raises(ConfigError, match="n_antennas=2"):
-                check_serving_cap(cfg)
-            for seed in range(3):
-                with pytest.raises(ConfigError, match="n_antennas=2"):
-                    make_assignment(seed=seed, mode=mode, n_antennas=2)
-        check_serving_cap(ExperimentConfig(mode="UTC", n_antennas=3))  # 3 * 53 >= 128
+                ExperimentConfig(mode=mode, n_antennas=2).validate()
+        ExperimentConfig(mode="UTC", n_antennas=3).validate()  # 3 * 53 >= 128
         for mode in ("TC", "CF"):
-            check_serving_cap(ExperimentConfig(mode=mode, n_antennas=2))
+            ExperimentConfig(mode=mode, n_antennas=2).validate()
+
+    def test_cap_bound_is_inclusive(self):
+        # 12 - 2 = 10 transmit APs, q = 2: n_antennas * 9 >= 2 K
+        small = dict(m_aps=12, l_regions=1, m_tx_per_region=3, q_serving=2, n_antennas=2)
+        ExperimentConfig(k_ues=9, **small).validate()  # 18 >= 18
+        with pytest.raises(ConfigError, match="cannot always give each of 10 UEs"):
+            ExperimentConfig(k_ues=10, **small).validate()  # 18 < 20
 
     def test_rx_aps_never_serve(self):
         _, _, _, assignment = make_assignment(mode="UTC")

@@ -12,7 +12,7 @@ from cfisac.deployment import (
     generate_layout,
     region_grid_shape,
 )
-from reference import angles_from, wrap_angle
+from reference import angles_from, contains_xy, wrap_angle
 
 
 def small_cfg(**kw):
@@ -54,9 +54,10 @@ class TestRangeCellGrid:
         assert cfg.resolved_cell_extent_m == pytest.approx(7.5)
 
     def test_invalid_extent(self):
-        region = SensingRegion(index=0, x_min=0, y_min=0, x_max=500, y_max=500)
-        with pytest.raises(ConfigError):
-            build_range_cell_grid(region, 0.0, 110.0)
+        # build_range_cell_grid trusts a validated config's extent
+        for changes in ({"cell_extent_m": 0.0}, {"cell_extent_m": -125.0}):
+            with pytest.raises(ConfigError, match="cell extent must be positive"):
+                ExperimentConfig(**changes).validate()
 
 
 class TestRegions:
@@ -114,7 +115,9 @@ class TestGenerateLayout:
             assert np.all(layout.targets[:, 2] >= cfg.target_height_min_m)
             assert np.all(layout.targets[:, 2] <= cfg.target_height_max_m)
             for t, l in enumerate(layout.target_regions):
-                assert layout.regions[l].contains_xy(layout.targets[t, 0], layout.targets[t, 1])
+                reg = layout.regions[l]
+                bounds = (reg.x_min, reg.y_min, reg.x_max, reg.y_max)
+                assert contains_xy(bounds, layout.targets[t, 0], layout.targets[t, 1])
 
 
 class TestAngles:

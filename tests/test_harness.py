@@ -46,6 +46,7 @@ from reference import (
     build_dictionary,
     build_plan,
     communication_sinr,
+    contains_xy,
     draw_ap_ap_channel,
     glrt_statistic,
     rate_bps,
@@ -402,11 +403,11 @@ def _drop_context(cfg, drop=0, layout=None):
 
 
 def _truth_loop(layout):
-    """Ground truth per flat cell id through RangeCell.contains_xy, one target at a time."""
+    """Ground truth per flat cell id through reference.contains_xy, one target at a time."""
     return np.array(
         [
             any(
-                cell.contains_xy(x, y)
+                contains_xy(cell.bounds, x, y)
                 for (x, y, _), t_region in zip(layout.targets, layout.target_regions)
                 if t_region == l
             )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfisac.channel import ArrayGeometry, complex_normal
+from cfisac.config import ConfigError, ExperimentConfig
 from cfisac.harness import allocate_power
 from reference import (
     BeamformingPlan,
@@ -177,8 +178,10 @@ class TestAllocatePower:
             assert eta0.tobytes() == np.array([e for _, e in expected]).tobytes()
 
     def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            allocate_power(0.0, 1, True)
+        # allocate_power trusts a validated config's budget
+        for p_max in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="p_max_w"):
+                ExperimentConfig(p_max_w=p_max).validate()
 
 
 class TestTransmitVector:
@@ -231,7 +234,6 @@ class TestTransmitVector:
 class TestBuildPlan:
     def _instance(self, beamformer="MF", k_zf=0):
         from cfisac.clustering import build_assignment
-        from cfisac.config import ExperimentConfig
         from cfisac.deployment import generate_layout
         from cfisac.harness import _S_LAYOUT, _S_SHADOW, _stream, ue_ap_gains
 

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfisac.channel import ArrayGeometry
-from cfisac.harness import allocate_power
+from cfisac.clustering import build_assignment
+from cfisac.config import (
+    TARGET_CENTRIC_MODES,
+    USER_CENTRIC_MODES,
+    VALID_MODES,
+    ConfigError,
+    ExperimentConfig,
+)
+from cfisac.harness import allocate_power, draw_drop
 from cfisac.metrics import empirical_cdf
 from reference import steering_vector, wrap_angle
 
@@ -54,3 +62,39 @@ def test_cdf_monotone_and_normalized(samples):
     assert np.all(np.diff(curve.probabilities) >= 0)
     assert curve.probabilities[0] >= 1.0 / len(samples) - 1e-12
     assert curve.probabilities[-1] == 1.0
+
+
+small_configs = st.builds(
+    ExperimentConfig,
+    m_aps=st.integers(1, 40),
+    k_ues=st.integers(1, 30),
+    l_regions=st.integers(1, 5),
+    n_antennas=st.integers(1, 5),
+    mode=st.sampled_from(VALID_MODES),
+    q_serving=st.integers(1, 7),
+    m_tx_per_region=st.integers(1, 7),
+    m_rx_per_region=st.integers(1, 7),
+    k_zf=st.just(0),
+    n_fading=st.just(1),
+)
+
+
+@given(cfg=small_configs)
+@settings(max_examples=1000, deadline=None)
+def test_validated_config_clusters_every_drop(cfg):
+    """validate() is the only gate: every drop of a config it passes gets the
+    cluster sizes the config asks for, without an error."""
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    for drop in (0, 1):
+        layout, gains, _, _ = draw_drop(cfg, drop)
+        assignment = build_assignment(layout, gains, cfg)
+        assert len(assignment.rx_aps) == cfg.m_rx_per_region * cfg.l_regions
+        assert len(assignment.tx_aps) >= 1
+        if cfg.mode in TARGET_CENTRIC_MODES:
+            assert all(len(tx_c) == cfg.m_tx_per_region for tx_c, _ in assignment.sensing_clusters)
+        if cfg.mode in USER_CENTRIC_MODES:
+            assert all(len(aps) == cfg.q_serving for aps in assignment.serving)
+            assert max(map(len, assignment.served)) <= cfg.n_antennas

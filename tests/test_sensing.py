@@ -223,8 +223,6 @@ class TestThreshold:
             calibrate_threshold(1, 1.0, 0.0)
         with pytest.raises(ValueError):
             calibrate_threshold(0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            calibrate_threshold_mc(1, 1.0, 1.5, 10, np.random.default_rng(0))
 
     def test_monte_carlo_agrees_with_analytic(self):
         analytic = calibrate_threshold(12, 1.0, 0.01)
