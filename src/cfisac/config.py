@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -99,8 +100,6 @@ class ExperimentConfig:
 
     @property
     def angular_corr_rad(self) -> float:
-        import math
-
         return math.radians(self.angular_corr_deg)
 
     @property
@@ -117,6 +116,13 @@ class ExperimentConfig:
     # --- validation ---------------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
+        # a NaN fails none of the range checks below, so non-finite floats go first
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if "float" in f.type and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if self.shadowing_std_db < 0:
+            raise ConfigError("shadowing_std_db must be >= 0")
         if min(self.m_aps, self.k_ues, self.l_regions, self.n_antennas) < 1:
             raise ConfigError("m_aps, k_ues, l_regions and n_antennas must be positive")
         if self.t_targets < 0:

@@ -88,18 +88,22 @@ def allocate_power(
     return per_ue[()], eta0[()]
 
 
-def calibrate_threshold(total_rank: int, sigma_z2: float, target_pfa: float) -> float:
+def calibrate_threshold(
+    total_rank: int | np.ndarray, sigma_z2: float, target_pfa: float
+) -> float | np.ndarray:
     """Analytic false-alarm threshold for the fused statistic.
 
     Under the noise-only hypothesis the statistic is a sum of ``total_rank``
     squared magnitudes of independent complex Gaussians, i.e. Gamma(rank,
     sigma_z2), so the threshold is the upper tail quantile at target_pfa.
+    Element-wise over an array of ranks; a scalar rank gives a float.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    if total_rank < 1:
+    if np.any(np.asarray(total_rank) < 1):
         raise ValueError("total_rank must be >= 1")
-    return sigma_z2 * float(gammainccinv(total_rank, target_pfa))
+    threshold = sigma_z2 * gammainccinv(total_rank, target_pfa)
+    return float(threshold) if np.ndim(threshold) == 0 else threshold
 
 
 class _DropContext:
@@ -119,15 +123,15 @@ class _DropContext:
         f_ghz = cfg.carrier_ghz
         corr = cfg.angular_corr_rad
 
-        # flat cell table: per-region offsets into the concatenated cell list
+        # flat cell table: the regions' cells concatenated, with each cell's region
         cells = [cell for region in layout.regions for cell in region.cells]
         n_cells = [len(region.cells) for region in layout.regions]
-        self.cell_offsets = np.cumsum([0] + n_cells[:-1])
+        cell_region = np.repeat(np.arange(len(n_cells)), n_cells)
         cell_centers = np.array([cell.center for cell in cells])
         self.n_epochs = schedule.n_epochs
 
         # schedule in global cell ids: (n_epochs, L)
-        self.cell_of = schedule.epochs + self.cell_offsets[None, :]
+        self.cell_of = schedule.epochs + np.cumsum([0] + n_cells[:-1])[None, :]
 
         # AP-side banks toward every cell center and every true target
         self.a_cell = steering_bank(geom, layout.aps, layout.broadsides, cell_centers)
@@ -140,7 +144,6 @@ class _DropContext:
         bounds = np.array([cell.bounds for cell in cells])  # (C, 4): x0, y0, x1, y1
         xy = layout.targets[:, None, :2]  # (T, 1, 2)
         inside = np.all(bounds[:, :2] <= xy, axis=2) & np.all(xy < bounds[:, 2:], axis=2)
-        cell_region = np.repeat(np.arange(len(n_cells)), n_cells)
         own = cell_region == np.asarray(layout.target_regions)[:, None]  # (T, C)
         self.truth_cell = np.any(own & inside, axis=0)
 
@@ -151,18 +154,18 @@ class _DropContext:
         self.s_rx_sqrt = [psd_sqrt(view_angle_kernel(t, rx_aps, corr)) for t in layout.targets]
         self.s_tx_sqrt = [psd_sqrt(view_angle_kernel(t, tx_aps, corr)) for t in layout.targets]
 
-        # cluster membership; receive APs also as positions inside rx_all
+        # sensing clusters, all of one size: (L, n_tx) and (L, n_rx) AP ids, and
+        # the receive APs' positions inside rx_all
         clusters = assignment.sensing_clusters
-        self.cluster_tx = [np.asarray(tx_c, dtype=int) for tx_c, _ in clusters]
-        self.cluster_rx = [np.asarray(rx_c, dtype=int) for _, rx_c in clusters]
-        self.cluster_rx_pos = [np.searchsorted(self.rx_all, rx_c) for rx_c in self.cluster_rx]
+        self.cluster_tx = np.array([tx_c for tx_c, _ in clusters], dtype=int)
+        self.cluster_rx = np.array([rx_c for _, rx_c in clusters], dtype=int)
+        self.cluster_rx_pos = np.searchsorted(self.rx_all, self.cluster_rx)
 
-        # hypothesized reflectivity covariance per cell (cluster tx APs), by region
-        self.r_region = [
-            cfg.sigma_rcs2_m2
-            * np.stack([view_angle_kernel(c.center, layout.aps[tx_c], corr) for c in region.cells])
-            for region, tx_c in zip(layout.regions, self.cluster_tx)
-        ]
+        # hypothesized reflectivity covariance of each cell over its region's
+        # cluster transmit APs, by global cell id: (C, n_tx, n_tx)
+        tx_of_cell = layout.aps[self.cluster_tx[cell_region]]  # (C, n_tx, 3)
+        r_cell = [view_angle_kernel(c.center, aps, corr) for c, aps in zip(cells, tx_of_cell)]
+        self.r_cell = cfg.sigma_rcs2_m2 * np.stack(r_cell)
 
         # per-AP power split; the sensing beam absorbs the rounding residual
         n_served = np.array([len(served) for served in assignment.served])
@@ -303,7 +306,6 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
     ctx = _DropContext(cfg, layout, assignment, schedule, gains)
 
     n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
-    n_regions = cfg.l_regions
     n_targets = len(layout.targets)
     sigma2 = cfg.sigma_z2_w
 
@@ -342,9 +344,7 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
     sinr = diag_gain / (interference + leak + sigma2)
     rates = cfg.bandwidth_hz * np.log2(1.0 + sinr)
 
-    stat = np.zeros((n_fading, n_regions))
-    snr_lin = np.zeros((n_fading, n_regions))
-    ranks = np.zeros((n_fading, n_regions), dtype=int)
+    stat = ranks = snr_lin = 0
     for _ in range(cfg.n_snapshots):
         x = np.exp(2j * np.pi * symbol_rng.random((n_fading, k_ues)))
         x0 = np.exp(2j * np.pi * symbol_rng.random((n_fading, m_total)))
@@ -362,11 +362,11 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
                 "fprni,fpi->frn", direct, s_tx[:, ctx.tx_all], optimize=True
             )
 
-        for l in range(n_regions):
-            _detect_region(cfg, ctx, l, epoch_cells[:, l], s_tx, y, stat, snr_lin, ranks)
+        stat_s, ranks_s, snr_s = _detect(cfg, ctx, epoch_cells, s_tx, y)
+        stat, ranks, snr_lin = stat + stat_s, ranks + ranks_s, snr_lin + snr_s
 
     snr_lin /= cfg.n_snapshots
-    thresholds = _threshold_table(ranks, sigma2, cfg.pfa_target)
+    thresholds = calibrate_threshold(np.maximum(ranks, 1), sigma2, cfg.pfa_target)
     decisions = stat > thresholds
     truths = ctx.truth_cell[epoch_cells]
 
@@ -419,40 +419,37 @@ def _downlink(ctx: _DropContext, h: np.ndarray, w0_amp: np.ndarray) -> tuple:
     return power, leak, transmit
 
 
-def _detect_region(cfg, ctx, l, cells_l, s_tx, y, stat, snr_lin, ranks):
-    """Accumulate the fused statistic / SNR / rank of one region's tests.
+def _detect(cfg: ExperimentConfig, ctx: _DropContext, epoch_cells, s_tx, y) -> tuple:
+    """Fused statistic, rank and sensing SNR of every region's test, each (F, L).
 
-    Every dictionary column is sqrt(beta) (a_tx^H s) a_rx at the inspected
+    Every dictionary column is sqrt(g_rx g_tx) (a_tx^H s) a_rx at the inspected
     cell, so each receive AP's dictionary has rank one with basis a_rx/sqrt(N)
-    and its GLRT term is |a_rx^H y|^2 / N. An all-zero dictionary adds neither
-    statistic nor rank.
+    and its GLRT term is |a_rx^H y|^2 / N. With u = sqrt(g_tx) (a_tx^H s), a
+    test is live (rank n_rx) exactly when u != 0, and a dead one adds neither
+    statistic nor rank. As ||a_rx||^2 = N, trace(D^H D R) = N (sum_m g_rx,m)
+    u^T R conj(u), n_tx^2 per test. The realizations of one scan epoch inspect
+    the same cells, so u and the quadratic form run once per epoch.
     """
-    tx_c = ctx.cluster_tx[l]
-    rx_c = ctx.cluster_rx[l]
-    n_rx = len(rx_c)
-    n_ant = cfg.n_antennas
-    cells = cells_l[:, None]
-    a_tx_f = ctx.a_cell[cells, tx_c]  # (F, n_tx, N)
-    a_rx_f = ctx.a_cell[cells, rx_c]  # (F, n_rx, N)
-    proj = np.einsum("fpn,fpn->fp", a_tx_f.conj(), s_tx[:, tx_c], optimize=True)
-    g_f = ctx.g_cell[cells_l]  # (F, M)
-    sqrt_betas = np.sqrt(g_f[:, rx_c, None] * g_f[:, None, tx_c])  # (F, n_rx, n_tx)
-    coef = sqrt_betas * proj[:, None, :]
-    keep = np.any(coef != 0, axis=2)  # (F, n_rx)
-    match = np.einsum("fmn,fmn->fm", a_rx_f.conj(), y[:, ctx.cluster_rx_pos[l]], optimize=True)
-    stat[:, l] += ((np.abs(match) ** 2) * keep).sum(axis=1) / n_ant
-    ranks[:, l] += keep.sum(axis=1)
-    # trace(D^H D R) with the shared rank-one factor: ||a_rx||^2 = N exactly
-    r_f = ctx.r_region[l][cells_l - ctx.cell_offsets[l]]  # (F, n_tx, n_tx)
-    quad = np.einsum("fmi,fij,fmj->f", coef, r_f, coef.conj(), optimize=True).real
-    snr_lin[:, l] += n_ant * quad / (n_rx * n_ant * cfg.sigma_z2_w)
-
-
-def _threshold_table(ranks: np.ndarray, sigma2: float, pfa: float) -> np.ndarray:
-    thresholds = np.zeros_like(ranks, dtype=float)
-    for r in np.unique(ranks):
-        thresholds[ranks == r] = calibrate_threshold(max(int(r), 1), sigma2, pfa)
-    return thresholds
+    n_fading, n_regions = epoch_cells.shape
+    tx, rx = ctx.cluster_tx, ctx.cluster_rx
+    n_rx = rx.shape[1]
+    rx_cells = epoch_cells[:, :, None], rx
+    match = np.einsum(
+        "flmn,flmn->flm", ctx.a_cell[rx_cells].conj(), y[:, ctx.cluster_rx_pos], optimize=True
+    )
+    live = np.empty((n_fading, n_regions), dtype=bool)
+    quad = np.empty((n_fading, n_regions))
+    for e in range(min(ctx.n_epochs, n_fading)):
+        fs = slice(e, None, ctx.n_epochs)  # the realizations that inspect epoch e's cells
+        tx_cells = epoch_cells[e, :, None], tx
+        proj = np.einsum("lpn,flpn->flp", ctx.a_cell[tx_cells].conj(), s_tx[fs][:, tx])
+        u = np.sqrt(ctx.g_cell[tx_cells]) * proj  # (F / n_epochs, L, n_tx)
+        live[fs] = np.any(u != 0, axis=2)
+        u_r = np.matmul(u.transpose(1, 0, 2), ctx.r_cell[epoch_cells[e]])  # u^T R by region
+        quad[fs] = np.einsum("lfi,fli->fl", u_r, u.conj()).real
+    stat = live * (np.abs(match) ** 2).sum(axis=2) / cfg.n_antennas
+    snr = ctx.g_cell[rx_cells].sum(axis=2) * quad / (n_rx * cfg.sigma_z2_w)
+    return stat, live * n_rx, snr
 
 
 def _direct_channel_bank(cfg: ExperimentConfig, ctx: _DropContext, drop_index: int) -> np.ndarray:

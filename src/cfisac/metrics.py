@@ -53,11 +53,9 @@ def detection_rates(
 
 def fronthaul_load(assignment: ClusterAssignment) -> FronthaulLoad:
     """Per-epoch sensing fronthaul: one scalar per cluster a receive AP sits in."""
-    loads = [
-        sum(1 for _, rx in assignment.sensing_clusters if int(m) in set(int(x) for x in rx))
-        for m in assignment.rx_aps
-    ]
-    return FronthaulLoad(max_load=max(loads), mean_load=float(np.mean(loads)))
+    clusters_of = np.bincount(np.concatenate([rx for _, rx in assignment.sensing_clusters]))
+    loads = clusters_of[assignment.rx_aps]
+    return FronthaulLoad(max_load=int(loads.max()), mean_load=float(np.mean(loads)))
 
 
 def empirical_cdf(samples: Sequence[float]) -> CdfCurve:

@@ -78,11 +78,30 @@ class TestExecution:
             ["q_serving=60"],
             ["n_antennas=2"],
             ["mode=CF", "m_rx_per_region=16"],
+            ["area_side_m=nan"],
+            ["angular_corr_deg=nan"],
+            ["noise_density_dbm_hz=nan"],
+            ["p_max_w=inf"],
+            ["cell_extent_m=inf"],
+            ["shadowing_std_db=-1"],
         ],
-        ids=["rx", "tx", "q", "cap", "cf-rx"],
+        ids=[
+            "rx",
+            "tx",
+            "q",
+            "cap",
+            "cf-rx",
+            "nan-area",
+            "nan-corr",
+            "nan-noise",
+            "inf-power",
+            "inf-cell",
+            "neg-shadow",
+        ],
     )
     def test_validate_config_rejects_what_run_rejects(self, overrides, tmp_path, capsys):
-        # cluster sizes no drop can satisfy fail in validate(), before any drop
+        # cluster sizes no drop can satisfy, non-finite floats and a negative
+        # shadowing std fail in validate(), before any drop
         args = ["--config", BASELINE, *(a for o in overrides for a in ("--set", o))]
         assert main(["validate-config", *args]) == 1
         validate_err = capsys.readouterr().err

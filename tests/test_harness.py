@@ -273,9 +273,17 @@ class TestBatchedPipelineMatchesOps:
         [("UTC", "MF", 0), ("UTC", "ZF", 1), ("CF", "MF", 0), ("UC", "MF", 0), ("TC", "MF", 0)],
     )
     def test_single_realization_equivalence(self, mode, beamformer, k_zf):
-        # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense beams
+        # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense
+        # beams; every region of two is checked
         cfg = ExperimentConfig(
-            **{**TINY, "k_ues": 5, "mode": mode, "beamformer": beamformer, "k_zf": k_zf}
+            **{
+                **TINY,
+                "k_ues": 5,
+                "l_regions": 2,
+                "mode": mode,
+                "beamformer": beamformer,
+                "k_zf": k_zf,
+            }
         )
         drop = 0
         dr = run_drop(cfg, drop)
@@ -319,7 +327,9 @@ class TestBatchedPipelineMatchesOps:
 
         for f in range(n_fading):
             epoch = f % schedule.n_epochs
-            cells = [layout.regions[l].cells[schedule.epochs[epoch, l]] for l in range(1)]
+            cells = [
+                layout.regions[l].cells[schedule.epochs[epoch, l]] for l in range(cfg.l_regions)
+            ]
             h_dict = {(k, m): h[f, k, m] for k in range(k_ues) for m in range(m_aps)}
             plan = build_plan(
                 h_dict,
@@ -355,35 +365,35 @@ class TestBatchedPipelineMatchesOps:
                             tx_steering=a_tgt[t, mp],
                             rx_steering=a_tgt[t, m],
                         )
-            tx_cluster, rx_cluster = assignment.sensing_clusters[0]
-            dicts = []
-            ys = []
-            for m in rx_cluster:
-                dicts.append(
-                    build_dictionary(
-                        cells[0],
-                        int(m),
-                        [int(mp) for mp in tx_cluster],
-                        layout,
-                        tx_signals,
-                        geom,
-                        cfg.carrier_ghz,
+            for l, (tx_cluster, rx_cluster) in enumerate(assignment.sensing_clusters):
+                dicts = []
+                ys = []
+                for m in rx_cluster:
+                    dicts.append(
+                        build_dictionary(
+                            cells[l],
+                            int(m),
+                            [int(mp) for mp in tx_cluster],
+                            layout,
+                            tx_signals,
+                            geom,
+                            cfg.carrier_ghz,
+                        )
                     )
+                    y = simulate_rx_observable(
+                        channels, tx_signals, [1] * cfg.t_targets, int(m), True, 0.0
+                    )
+                    ys.append(y + noise[f, m])
+                stat = glrt_statistic(dicts, ys)
+                assert stat == pytest.approx(dr.statistics[f, l], rel=1e-9)
+                total_rank = sum(d.rank for d in dicts)
+                thr = calibrate_threshold(max(total_rank, 1), cfg.sigma_z2_w, cfg.pfa_target)
+                assert thr == pytest.approx(dr.thresholds[f, l], rel=1e-12)
+                r_mat = cfg.sigma_rcs2_m2 * view_angle_kernel(
+                    cells[l].center, layout.aps[tx_cluster], corr
                 )
-                y = simulate_rx_observable(
-                    channels, tx_signals, [1] * cfg.t_targets, int(m), True, 0.0
-                )
-                ys.append(y + noise[f, m])
-            stat = glrt_statistic(dicts, ys)
-            assert stat == pytest.approx(dr.statistics[f, 0], rel=1e-9)
-            total_rank = sum(d.rank for d in dicts)
-            thr = calibrate_threshold(max(total_rank, 1), cfg.sigma_z2_w, cfg.pfa_target)
-            assert thr == pytest.approx(dr.thresholds[f, 0], rel=1e-12)
-            r_mat = cfg.sigma_rcs2_m2 * view_angle_kernel(
-                cells[0].center, layout.aps[tx_cluster], corr
-            )
-            snr = sensing_snr(dicts, [r_mat] * len(rx_cluster), cfg.sigma_z2_w)
-            assert 10 * math.log10(snr) == pytest.approx(dr.sensing_snr_db[f, 0], rel=1e-9)
+                snr = sensing_snr(dicts, [r_mat] * len(rx_cluster), cfg.sigma_z2_w)
+                assert 10 * math.log10(snr) == pytest.approx(dr.sensing_snr_db[f, l], rel=1e-9)
 
 
 def _drop_context(cfg, drop=0, layout=None):

@@ -224,6 +224,17 @@ class TestThreshold:
         with pytest.raises(ValueError):
             calibrate_threshold(0, 1.0, 0.5)
 
+    def test_rank_array_matches_scalar_calls(self):
+        # the engine thresholds a whole (F, L) table of ranks in one call
+        ranks = np.array([[1, 2, 2], [12, 1, 4]])
+        table = calibrate_threshold(ranks, 2.0, 0.01)
+        assert table.shape == ranks.shape
+        scalar = [[calibrate_threshold(int(r), 2.0, 0.01) for r in row] for row in ranks]
+        assert table.tolist() == scalar
+        assert type(calibrate_threshold(4, 2.0, 0.01)) is float
+        with pytest.raises(ValueError):
+            calibrate_threshold(np.array([1, 0]), 1.0, 0.5)
+
     def test_monte_carlo_agrees_with_analytic(self):
         analytic = calibrate_threshold(12, 1.0, 0.01)
         mc = calibrate_threshold_mc(12, 1.0, 0.01, 1_000_000, np.random.default_rng(14))
