@@ -1,4 +1,4 @@
-"""Propagation draws: pathloss, fading, steering vectors, correlated target RCS."""
+"""Propagation draws: pathloss, fading, steering vectors, view-angle RCS kernels."""
 
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-# --- correlated RCS --------------------------------------------------------
+# --- RCS correlation --------------------------------------------------------
 
 
 def view_angle_kernel(
@@ -97,50 +97,35 @@ def view_angle_kernel(
     """Gaussian correlation kernel over the APs' view angles from ``point``.
 
     K[i, j] = exp(-psi_ij^2 / (2 std^2)) where psi_ij is the angle between
-    the directions from the point toward APs i and j.
+    the directions from the point toward APs i and j. A stack of points
+    (..., 3), with one AP set (M, 3) or one per point (..., M, 3), gives a
+    stack of kernels (..., M, M).
     """
-    diff = np.asarray(ap_positions, dtype=float) - np.asarray(point, dtype=float)[None, :]
-    norms = np.linalg.norm(diff, axis=1)
+    diff = np.asarray(ap_positions, dtype=float) - np.asarray(point, dtype=float)[..., None, :]
+    norms = np.linalg.norm(diff, axis=-1)
     if np.any(norms < 1e-9):
         raise ValueError("an AP coincides with the evaluated position")
-    units = diff / norms[:, None]
-    cosines = np.clip(units @ units.T, -1.0, 1.0)
-    psi = np.arccos(cosines)
-    return np.exp(-(psi**2) / (2.0 * angular_corr_std**2))
+    units = diff / norms[..., None]
+    # one (..., M, M) buffer from the cosines to the kernel: a stack over every
+    # range cell can be hundreds of MB
+    kernel = units @ units.swapaxes(-1, -2)
+    np.clip(kernel, -1.0, 1.0, out=kernel)
+    np.arccos(kernel, out=kernel)
+    np.square(kernel, out=kernel)
+    kernel /= -2.0 * angular_corr_std**2
+    return np.exp(kernel, out=kernel)
 
 
 def psd_sqrt(matrix: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Hermitian PSD square root of a matrix, or of each of a stack (..., n, n).
 
-    Slightly negative eigenvalues from roundoff are clipped; anything worse
-    than the jitter tolerance is a genuine non-PSD input and raises.
+    Slightly negative eigenvalues from roundoff are clipped, so a singular
+    Gram has a root too; a matrix with one below the jitter tolerance is a
+    genuine non-PSD input and raises.
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    scale = max(float(eigvals[-1]), 1.0)
-    if eigvals[0] < -jitter * scale * matrix.shape[0]:
+    scale = np.maximum(eigvals[..., -1], 1.0)
+    if np.any(eigvals[..., 0] < -jitter * scale * matrix.shape[-1]):
         raise ValueError("covariance matrix is not positive semidefinite")
     eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-
-
-def draw_correlated_rcs_factored(
-    k_rx_sqrt: np.ndarray,
-    k_tx_sqrt: np.ndarray,
-    variance: float,
-    rng: np.random.Generator,
-    n_draws: int = 1,
-) -> np.ndarray:
-    """Swerling-I reflectivities of every (rx, tx) AP pair off one target.
-
-    Zero mean, per-entry variance ``variance``, correlated across pairs with
-    covariance variance * kron(K_rx, K_tx), the product of the receive-side
-    and transmit-side view-angle kernels. Its symmetric square root is
-    sqrt(variance) * kron(sqrt(K_rx), sqrt(K_tx)), so mixing an i.i.d.
-    matrix as S_rx G S_tx draws from that law without forming the full
-    pair covariance. Returns (n_draws, n_rx, n_tx).
-    """
-    n_rx, n_tx = k_rx_sqrt.shape[0], k_tx_sqrt.shape[0]
-    g = complex_normal(rng, (n_draws, n_rx, n_tx))
-    return math.sqrt(variance) * np.einsum(
-        "ab,fbc,cd->fad", k_rx_sqrt, g, k_tx_sqrt, optimize=True
-    )
+    return (eigvecs * np.sqrt(eigvals)[..., None, :]) @ eigvecs.swapaxes(-1, -2).conj()

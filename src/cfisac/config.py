@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise ConfigError("target_height_min_m must not exceed target_height_max_m")
         if self.angular_corr_deg <= 0:
             raise ConfigError("angular_corr_deg must be positive")
+        if self.spacing_wavelengths <= 0:
+            raise ConfigError("spacing_wavelengths must be positive")
         if self.n_drops < 1 or self.n_fading < 1 or self.n_snapshots < 1:
             raise ConfigError("n_drops, n_fading and n_snapshots must be >= 1")
         if self.seed < 0:

@@ -175,7 +175,9 @@ def generate_layout(config: ExperimentConfig, rng: np.random.Generator) -> Netwo
     )
 
 
-def build_scan_schedule(regions: Sequence[SensingRegion], rng: np.random.Generator) -> ScanSchedule:
+def build_scan_schedule(
+    regions: Sequence[SensingRegion], rng: np.random.Generator, max_epochs: int | None = None
+) -> ScanSchedule:
     """Coordinate the per-epoch cell choices across regions.
 
     Every cell of every region is scanned exactly once per sweep. At each
@@ -183,11 +185,12 @@ def build_scan_schedule(regions: Sequence[SensingRegion], rng: np.random.Generat
     cell and the remaining regions greedily pick the unscanned cell that
     maximizes the minimum distance to the cells already picked for this
     epoch, so that simultaneously inspected cells stay far apart. Regions
-    with fewer cells than the longest region repeat their last cell.
+    with fewer cells than the longest region repeat their last cell. Epochs
+    are drawn in order, so ``max_epochs`` keeps the first rows of the sweep.
     """
     n_regions = len(regions)
     counts = [len(r.cells) for r in regions]
-    n_epochs = max(counts)
+    n_epochs = max(counts) if max_epochs is None else min(max(counts), max_epochs)
     centers = [np.array([c.center[:2] for c in r.cells]) for r in regions]
 
     remaining = [list(range(n)) for n in counts]

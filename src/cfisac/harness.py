@@ -5,7 +5,7 @@ sweeps ``n_fading`` coherence intervals. One scan epoch elapses per fading
 realization. All per-interval math is batched over the fading axis and the
 reductions run through :mod:`cfisac.kernels`.
 
-Random streams are derived from (seed, drop, purpose[, entity]) tuples, so
+Random streams are derived from (seed, drop, purpose) tuples, so
 drops are order-independent and experiment arms that share a seed see
 identical layouts, shadowing and fading draws (common random numbers).
 ``draw_drop`` is that shared draw; a preset makes it once per drop and
@@ -24,7 +24,6 @@ from . import kernels
 from .channel import (
     ArrayGeometry,
     complex_normal,
-    draw_correlated_rcs_factored,
     linear_gain,
     pathloss_db,
     psd_sqrt,
@@ -44,8 +43,8 @@ _S_LAYOUT, _S_SHADOW, _S_SCHED, _S_FADING, _S_SYMBOL, _S_NOISE, _S_RCS, _S_DIREC
 ZF_FALLBACK_TOL = 1e-9
 
 
-def _stream(cfg: ExperimentConfig, drop: int, purpose: int, *extra: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, drop, purpose, *extra])
+def _stream(cfg: ExperimentConfig, drop: int, purpose: int) -> np.random.Generator:
+    return np.random.default_rng([cfg.seed, drop, purpose])
 
 
 def ue_ap_gains(
@@ -147,12 +146,15 @@ class _DropContext:
         own = cell_region == np.asarray(layout.target_regions)[:, None]  # (T, C)
         self.truth_cell = np.any(own & inside, axis=0)
 
-        # RCS mixing: product-kernel square roots over the global rx/tx sets
+        # each target's reflectivity law over the global rx/tx sets: the receive
+        # side mixed by sigma sqrt(g_rx) sqrt(K_rx), (T, R, R), and the transmit
+        # kernel K_tx, (T, P, P), which the echo reads through a quadratic form
         self.rx_all = np.asarray(assignment.rx_aps, dtype=int)
         self.tx_all = np.asarray(assignment.tx_aps, dtype=int)
         rx_aps, tx_aps = layout.aps[self.rx_all], layout.aps[self.tx_all]
-        self.s_rx_sqrt = [psd_sqrt(view_angle_kernel(t, rx_aps, corr)) for t in layout.targets]
-        self.s_tx_sqrt = [psd_sqrt(view_angle_kernel(t, tx_aps, corr)) for t in layout.targets]
+        s_rx = psd_sqrt(view_angle_kernel(layout.targets, rx_aps, corr))
+        self.rx_mix = math.sqrt(cfg.sigma_rcs2_m2) * self.sqrt_g_tgt[:, self.rx_all, None] * s_rx
+        self.k_tx = view_angle_kernel(layout.targets, tx_aps, corr)
 
         # sensing clusters, all of one size: (L, n_tx) and (L, n_rx) AP ids, and
         # the receive APs' positions inside rx_all
@@ -164,8 +166,7 @@ class _DropContext:
         # hypothesized reflectivity covariance of each cell over its region's
         # cluster transmit APs, by global cell id: (C, n_tx, n_tx)
         tx_of_cell = layout.aps[self.cluster_tx[cell_region]]  # (C, n_tx, 3)
-        r_cell = [view_angle_kernel(c.center, aps, corr) for c, aps in zip(cells, tx_of_cell)]
-        self.r_cell = cfg.sigma_rcs2_m2 * np.stack(r_cell)
+        self.r_cell = cfg.sigma_rcs2_m2 * view_angle_kernel(cell_centers, tx_of_cell, corr)
 
         # per-AP power split; the sensing beam absorbs the rounding residual
         n_served = np.array([len(served) for served in assignment.served])
@@ -286,7 +287,10 @@ def draw_drop(
     """
     layout = generate_layout(cfg, _stream(cfg, drop_index, _S_LAYOUT))
     gains = ue_ap_gains(layout, cfg, _stream(cfg, drop_index, _S_SHADOW))
-    schedule = build_scan_schedule(layout.regions, _stream(cfg, drop_index, _S_SCHED))
+    # only the epochs that the F realizations inspect are ordered
+    schedule = build_scan_schedule(
+        layout.regions, _stream(cfg, drop_index, _S_SCHED), max_epochs=cfg.n_fading
+    )
     h = complex_normal(
         _stream(cfg, drop_index, _S_FADING), (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
     )
@@ -306,35 +310,12 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
     ctx = _DropContext(cfg, layout, assignment, schedule, gains)
 
     n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
-    n_targets = len(layout.targets)
     sigma2 = cfg.sigma_z2_w
 
     # one scan epoch per fading realization, cycling through the sweep
     epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) global ids
 
     w0, diagnostics = _sense_beams(ctx, h, epoch_cells)
-
-    # Swerling-I reflectivities: constant over the coherence interval,
-    # drawn jointly over all (rx, tx) pairs through the angular kernel
-    n_rx_all, n_tx_all = len(ctx.rx_all), len(ctx.tx_all)
-    ab = np.zeros((n_fading, n_targets, n_rx_all, n_tx_all), dtype=complex)
-    for t in range(n_targets):
-        alpha = draw_correlated_rcs_factored(
-            ctx.s_rx_sqrt[t],
-            ctx.s_tx_sqrt[t],
-            cfg.sigma_rcs2_m2,
-            _stream(cfg, drop_index, _S_RCS, t),
-            n_fading,
-        )
-        amp2 = ctx.sqrt_g_tgt[t, ctx.rx_all][:, None] * ctx.sqrt_g_tgt[t, ctx.tx_all][None, :]
-        ab[:, t] = alpha * amp2[None, :, :]
-
-    symbol_rng = _stream(cfg, drop_index, _S_SYMBOL)
-    noise_rng = _stream(cfg, drop_index, _S_NOISE)
-
-    direct = None
-    if cfg.direct_residual > 0.0:
-        direct = _direct_channel_bank(cfg, ctx, drop_index)
 
     # communication side is snapshot-independent: SINR uses beams and powers
     w0_amp = ctx.sqrt_eta0[None, :, None] * w0
@@ -344,25 +325,27 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
     sinr = diag_gain / (interference + leak + sigma2)
     rates = cfg.bandwidth_hz * np.log2(1.0 + sinr)
 
-    stat = ranks = snr_lin = 0
+    # every snapshot's transmit signals first: the echoes of one realization
+    # share its reflectivities and direct channels across snapshots
+    symbol_rng = _stream(cfg, drop_index, _S_SYMBOL)
+    noise_rng = _stream(cfg, drop_index, _S_NOISE)
+    s_tx, noise = [], []
     for _ in range(cfg.n_snapshots):
         x = np.exp(2j * np.pi * symbol_rng.random((n_fading, k_ues)))
         x0 = np.exp(2j * np.pi * symbol_rng.random((n_fading, m_total)))
-        noise = math.sqrt(sigma2) * complex_normal(noise_rng, (n_fading, m_total, n_ant))
+        noise.append(math.sqrt(sigma2) * complex_normal(noise_rng, (n_fading, m_total, n_ant)))
+        s_tx.append(transmit(x, x0))
+    s_tx_p = np.stack(s_tx)[:, :, ctx.tx_all]  # (J, F, P, N) of the transmit APs
 
-        s_tx = transmit(x, x0)
+    y = _target_echoes(ctx, s_tx_p, _stream(cfg, drop_index, _S_RCS))
+    y += np.stack(noise)[:, :, ctx.rx_all]
+    if cfg.direct_residual > 0.0:
+        direct = _direct_path(cfg, ctx, s_tx_p, _stream(cfg, drop_index, _S_DIRECT))
+        y += cfg.direct_residual * direct
 
-        c = np.einsum(
-            "tpn,fpn->ftp", ctx.a_tgt[:, ctx.tx_all].conj(), s_tx[:, ctx.tx_all], optimize=True
-        )
-        echo = kernels.echo_mix(ctx.a_tgt[:, ctx.rx_all], ab, c)
-        y = echo + noise[:, ctx.rx_all]
-        if direct is not None:
-            y = y + cfg.direct_residual * np.einsum(
-                "fprni,fpi->frn", direct, s_tx[:, ctx.tx_all], optimize=True
-            )
-
-        stat_s, ranks_s, snr_s = _detect(cfg, ctx, epoch_cells, s_tx, y)
+    stat = ranks = snr_lin = 0
+    for s_j, y_j in zip(s_tx, y):
+        stat_s, ranks_s, snr_s = _detect(cfg, ctx, epoch_cells, s_j, y_j)
         stat, ranks, snr_lin = stat + stat_s, ranks + ranks_s, snr_lin + snr_s
 
     snr_lin /= cfg.n_snapshots
@@ -452,36 +435,61 @@ def _detect(cfg: ExperimentConfig, ctx: _DropContext, epoch_cells, s_tx, y) -> t
     return stat, live * n_rx, snr
 
 
-def _direct_channel_bank(cfg: ExperimentConfig, ctx: _DropContext, drop_index: int) -> np.ndarray:
-    """Rician direct AP-to-AP channels for the residual-subtraction experiments."""
+def _target_echoes(
+    ctx: _DropContext, s_tx: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Echoes of every target at every receive AP, (J, F, R, N), from s_tx (J, F, P, N).
+
+    Swerling I: target t's reflectivities over the (rx, tx) AP pairs are
+    sigma S_rx G S_tx, with S the square roots of the view-angle kernels and G
+    i.i.d. CN(0, 1), one draw per realization shared by its J snapshots. The
+    receive APs read them only through U = sqrt(g_tx) (a_tx^H s), (P, J), and
+    G is independent of U, so G S_tx U has the law of Z Gram^{1/2} with
+    Gram = U^H K_tx U (J x J) and Z (R x J) i.i.d. CN(0, 1): R J normals per
+    target, and no transmit-side square root.
+    """
+    n_snap, n_fading = s_tx.shape[:2]
+    n_targets, n_rx = ctx.rx_mix.shape[:2]
+    tx = ctx.tx_all
+    u = np.einsum("tpn,jfpn->tpfj", ctx.a_tgt[:, tx].conj(), s_tx, optimize=True)
+    u *= ctx.sqrt_g_tgt[:, tx, None, None]
+    k_u = np.matmul(ctx.k_tx, u.reshape(n_targets, len(tx), n_fading * n_snap)).reshape(u.shape)
+    gram = np.einsum("tpfi,tpfj->ftij", u.conj(), k_u, optimize=True)
+    z = complex_normal(rng, (n_fading, n_targets, n_rx, n_snap))
+    return kernels.echo_mix(ctx.a_tgt[:, ctx.rx_all], ctx.rx_mix @ z, psd_sqrt(gram))
+
+
+def _direct_path(
+    cfg: ExperimentConfig, ctx: _DropContext, s_tx: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Direct AP-to-AP signal at every receive AP, (J, F, R, N), from s_tx (J, F, P, N).
+
+    The Rician channel from transmit AP p to receive AP r is sqrt(g_pr)
+    (sqrt(K/(K+1)) a_rx a_tx^H + sqrt(1/(K+1)) W_pr), with W_pr i.i.d.
+    CN(0, 1), one draw per realization shared by its snapshots. The LoS part
+    is summed from the two steering banks. The scattered part
+    sum_p sqrt(g_pr/(K+1)) W_pr s_p has i.i.d. antenna rows, each
+    CN(0, Gram_r) over the snapshots with Gram_r = sum_p g_pr/(K+1) S_p^H S_p,
+    so it is drawn as Z Gram_r^{1/2} with N J normals per receive AP.
+    """
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
     layout = ctx.layout
-    tx_pos = layout.aps[ctx.tx_all]
-    rx_pos = layout.aps[ctx.rx_all]
-    g = _los_gains(tx_pos, rx_pos, cfg.carrier_ghz)  # (n_tx, n_rx): points=tx, arrays=rx
-    a_rx = steering_bank(
-        geom, layout.aps[ctx.rx_all], layout.broadsides[ctx.rx_all], tx_pos
-    )  # (n_tx, n_rx, N): rx arrays looking at tx points
-    a_tx = steering_bank(
-        geom, layout.aps[ctx.tx_all], layout.broadsides[ctx.tx_all], rx_pos
-    )  # (n_rx, n_tx, N)
-    los = a_rx[:, :, :, None] * a_tx.transpose(1, 0, 2).conj()[:, :, None, :]  # (n_tx, n_rx, N, N)
+    tx_pos, rx_pos = layout.aps[ctx.tx_all], layout.aps[ctx.rx_all]
+    g = _los_gains(tx_pos, rx_pos, cfg.carrier_ghz)  # (P, R): points=tx, arrays=rx
+    a_rx = steering_bank(geom, rx_pos, layout.broadsides[ctx.rx_all], tx_pos)  # (P, R, N)
+    a_tx = steering_bank(geom, tx_pos, layout.broadsides[ctx.tx_all], rx_pos)  # (R, P, N)
     k_lin = cfg.rician_k_linear
-    w = complex_normal(
-        _stream(cfg, drop_index, _S_DIRECT),
-        (cfg.n_fading, len(ctx.tx_all), len(ctx.rx_all), cfg.n_antennas, cfg.n_antennas),
-    )
-    scale = np.sqrt(g)[None, :, :, None, None]
-    return scale * (
-        math.sqrt(k_lin / (k_lin + 1.0)) * los[None] + math.sqrt(1.0 / (k_lin + 1.0)) * w
-    )
+    los_amp = np.sqrt(g * k_lin / (k_lin + 1.0))[:, :, None] * a_rx
+    los = np.einsum("prn,rpi,jfpi->jfrn", los_amp, a_tx.conj(), s_tx, optimize=True)
+    gram = np.einsum("pr,ifpn,jfpn->frij", g / (k_lin + 1.0), s_tx.conj(), s_tx, optimize=True)
+    n_snap, n_fading = s_tx.shape[:2]
+    z = complex_normal(rng, (n_fading, len(ctx.rx_all), cfg.n_antennas, n_snap))
+    return los + np.einsum("frni,frij->jfrn", z, psd_sqrt(gram), optimize=True)
 
 
 def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
-    """Run every drop sequentially and aggregate into a ResultSet."""
-    cfg.validate()
-    drops = [run_drop(cfg, d) for d in range(cfg.n_drops)]
-    return _aggregate(cfg, label, drops)
+    """Run every drop of one arm and aggregate them under ``label`` in lower case."""
+    return _run_arms({label: cfg})[label]
 
 
 # --- experiment presets ------------------------------------------------------
@@ -492,7 +500,8 @@ def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
 
     An empty set of arms or a bad arm fails before the first drop of any
     arm. Each drop is drawn once and every arm is evaluated on it: the arms
-    differ only in fields that ``draw_drop`` does not read.
+    differ only in fields that ``draw_drop`` does not read. A single arm
+    draws inside ``run_drop``, so a drop's time includes its draw.
     """
     if not arms:
         raise ConfigError("the preset has no arms: its list of values is empty")
@@ -501,7 +510,7 @@ def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
     shared = next(iter(arms.values()))  # any arm: they all draw the same drop
     drops = {key: [] for key in arms}
     for d in range(shared.n_drops):
-        drawn = draw_drop(shared, d)
+        drawn = draw_drop(shared, d) if len(arms) > 1 else None
         for key, arm_cfg in arms.items():
             drops[key].append(run_drop(arm_cfg, d, drawn))
     return {key: _aggregate(arm_cfg, key.lower(), drops[key]) for key, arm_cfg in arms.items()}

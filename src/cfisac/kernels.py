@@ -88,13 +88,13 @@ def bank_signals(
 
 
 def echo_mix(a_rx: np.ndarray, ab: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Superpose all target echoes at the receive APs.
+    """Superpose all target echoes at the receive APs, one echo per snapshot.
 
-    echo[f, r, :] = sum_t a_rx[t, r, :] * sum_p ab[f, t, r, p] * c[f, t, p]
+    echo[j, f, r, :] = sum_t a_rx[t, r, :] * sum_i ab[f, t, r, i] * c[f, t, i, j]
 
     a_rx: (T, R, N) steering of each receive AP toward each true target.
-    ab:   (F, T, R, P) reflectivities scaled by the two-way amplitude gains.
-    c:    (F, T, P) projections of each transmit signal on the target path.
+    ab:   (F, T, R, J) reflectivity draws mixed over the receive APs and scaled
+          by their amplitude gains, over J, the snapshot axis.
+    c:    (F, T, J, J) square root of the snapshot Gram of each transmit side.
     """
-    weights = np.einsum("ftrp,ftp->ftr", ab, c, optimize=True)
-    return np.einsum("trn,ftr->frn", a_rx, weights, optimize=True)
+    return np.einsum("trn,ftrj->jfrn", a_rx, ab @ c, optimize=True)

@@ -6,7 +6,6 @@ import pytest
 from cfisac.channel import (
     ArrayGeometry,
     complex_normal,
-    draw_correlated_rcs_factored,
     linear_gain,
     pathloss_db,
     psd_sqrt,
@@ -194,26 +193,41 @@ class TestCorrelatedRcs:
         emp = draws.conj().T @ draws / len(draws)
         np.testing.assert_allclose(np.abs(emp), np.abs(cov), rtol=0.05)
 
-    def test_factored_path_matches_full_sqrt(self):
-        aps = np.array(
-            [[100.0, 0.0, 10.0], [50.0, 80.0, 10.0], [0.0, 100.0, 10.0], [-70.0, 10.0, 10.0]]
-        )
-        target = np.array([10.0, 5.0, 60.0])
-        rx, tx = [0, 1], [2, 3]
-        model = self.MODEL
-        full = draw_correlated_rcs(target, tx, rx, aps, model, np.random.default_rng(77))
-        k_rx = psd_sqrt(view_angle_kernel(target, aps[rx], model.angular_corr_std))
-        k_tx = psd_sqrt(view_angle_kernel(target, aps[tx], model.angular_corr_std))
-        fast = draw_correlated_rcs_factored(
-            k_rx, k_tx, model.variance, np.random.default_rng(77), n_draws=1
-        )[0]
-        for i, m in enumerate(rx):
-            for j, mp in enumerate(tx):
-                assert full[(m, mp)] == pytest.approx(fast[i, j], rel=1e-8)
-
     def test_psd_sqrt_rejects_indefinite(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_psd_sqrt_of_a_hermitian_stack(self):
+        # Gram matrices of 3 complex vectors in C^2: Hermitian, PSD and of rank 2
+        rng = np.random.default_rng(3)
+        vectors = complex_normal(rng, (5, 2, 3))
+        gram = vectors.conj().swapaxes(-1, -2) @ vectors
+        assert np.linalg.matrix_rank(gram[0]) == 2
+        root = psd_sqrt(gram)
+        np.testing.assert_allclose(root, root.conj().swapaxes(-1, -2), atol=1e-12)
+        np.testing.assert_allclose(root @ root, gram, atol=1e-12)
+        for one, stacked in zip(gram, root):
+            np.testing.assert_allclose(psd_sqrt(one), stacked, atol=1e-12)
+
+    def test_psd_sqrt_checks_each_matrix_of_a_stack(self):
+        # the tolerance scales with each matrix's own largest eigenvalue
+        stack = np.array([np.diag([1e6, 1e6]), np.diag([1.0, -1e-3])])
+        with pytest.raises(ValueError):
+            psd_sqrt(stack)
+        assert psd_sqrt(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_view_angle_kernel_of_a_point_stack(self):
+        aps = np.array([[100.0, 0.0, 10.0], [50.0, 80.0, 10.0], [0.0, 100.0, 10.0]])
+        points = np.array([[10.0, 5.0, 60.0], [-30.0, 40.0, 90.0]])
+        corr = math.radians(10.0)
+        stacked = view_angle_kernel(points, aps, corr)
+        per_point_aps = view_angle_kernel(points, np.stack([aps, aps[::-1]]), corr)
+        np.testing.assert_array_equal(stacked[0], view_angle_kernel(points[0], aps, corr))
+        np.testing.assert_array_equal(stacked[1], view_angle_kernel(points[1], aps, corr))
+        np.testing.assert_array_equal(
+            per_point_aps[1], view_angle_kernel(points[1], aps[::-1], corr)
+        )
+        assert view_angle_kernel(np.zeros((0, 3)), aps, corr).shape == (0, 3, 3)
 
     def test_empty_ap_sets_rejected(self):
         with pytest.raises(ValueError):

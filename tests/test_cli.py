@@ -84,6 +84,8 @@ class TestExecution:
             ["p_max_w=inf"],
             ["cell_extent_m=inf"],
             ["shadowing_std_db=-1"],
+            ["spacing_wavelengths=0"],
+            ["spacing_wavelengths=-0.5"],
         ],
         ids=[
             "rx",
@@ -97,11 +99,14 @@ class TestExecution:
             "inf-power",
             "inf-cell",
             "neg-shadow",
+            "zero-spacing",
+            "neg-spacing",
         ],
     )
     def test_validate_config_rejects_what_run_rejects(self, overrides, tmp_path, capsys):
-        # cluster sizes no drop can satisfy, non-finite floats and a negative
-        # shadowing std fail in validate(), before any drop
+        # cluster sizes no drop can satisfy, non-finite floats, a negative
+        # shadowing std and a non-positive antenna spacing fail in validate(),
+        # before any drop
         args = ["--config", BASELINE, *(a for o in overrides for a in ("--set", o))]
         assert main(["validate-config", *args]) == 1
         validate_err = capsys.readouterr().err

@@ -193,6 +193,14 @@ class TestScanSchedule:
         b = build_scan_schedule(regions, np.random.default_rng(9))
         np.testing.assert_array_equal(a.epochs, b.epochs)
 
+    def test_capped_schedule_is_a_prefix_of_the_full_sweep(self):
+        # epochs are drawn one after another, so a cap only stops the sweep early
+        regions = self._regions()
+        full = build_scan_schedule(regions, np.random.default_rng(4))
+        for cap in (1, 5, 16, 40):
+            capped = build_scan_schedule(regions, np.random.default_rng(4), max_epochs=cap)
+            np.testing.assert_array_equal(capped.epochs, full.epochs[: min(cap, 16)])
+
     def test_unequal_cell_counts_padded(self):
         cfg = ExperimentConfig(l_regions=4, cell_extent_m=250.0)
         regions = build_regions(cfg)

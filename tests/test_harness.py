@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from cfisac import harness, kernels
 from cfisac.channel import (
@@ -27,9 +28,10 @@ from cfisac.harness import (
     _S_SYMBOL,
     _DropContext,
     _comm_beams,
-    _direct_channel_bank,
+    _direct_path,
     _sense_beams,
     _stream,
+    _target_echoes,
     calibrate_threshold,
     draw_drop,
     preset_beamformer_comparison,
@@ -42,6 +44,7 @@ from cfisac.harness import (
 from cfisac.metrics import _aggregate
 from reference import (
     ChannelRealization,
+    RcsModel,
     TargetLink,
     build_dictionary,
     build_plan,
@@ -50,8 +53,10 @@ from reference import (
     draw_ap_ap_channel,
     glrt_statistic,
     rate_bps,
+    rcs_pair_covariance,
     sensing_snr,
     simulate_rx_observable,
+    steering_to,
     transmit_vector,
 )
 
@@ -308,15 +313,12 @@ class TestBatchedPipelineMatchesOps:
         rx_all = assignment.rx_aps
         tx_all = assignment.tx_aps
         corr = cfg.angular_corr_rad
-        alphas = []
-        for t in range(cfg.t_targets):
-            s_rx = psd_sqrt(view_angle_kernel(layout.targets[t], layout.aps[rx_all], corr))
-            s_tx = psd_sqrt(view_angle_kernel(layout.targets[t], layout.aps[tx_all], corr))
-            g = complex_normal(_stream(cfg, drop, _S_RCS, t), (n_fading, len(rx_all), len(tx_all)))
-            alphas.append(
-                math.sqrt(cfg.sigma_rcs2_m2)
-                * np.einsum("ab,fbc,cd->fad", s_rx, g, s_tx, optimize=True)
-            )
+        sigma = math.sqrt(cfg.sigma_rcs2_m2)
+        s_rx = [psd_sqrt(view_angle_kernel(t, layout.aps[rx_all], corr)) for t in layout.targets]
+        s_tx = [psd_sqrt(view_angle_kernel(t, layout.aps[tx_all], corr)) for t in layout.targets]
+        z = complex_normal(
+            _stream(cfg, drop, _S_RCS), (n_fading, cfg.t_targets, len(rx_all), 1)
+        )[..., 0]
 
         a_tgt = steering_bank(geom, layout.aps, layout.broadsides, layout.targets)
         d_tgt = np.linalg.norm(layout.targets[:, None, :] - layout.aps[None, :, :], axis=2)
@@ -355,12 +357,24 @@ class TestBatchedPipelineMatchesOps:
                     dr.rates_bps[f, k], rel=1e-9
                 )
 
-            # fused detection through the op-level sensing chain
+            # fused detection through the op-level sensing chain; each target's
+            # reflectivities are the rank-one realization sigma S_rx z b^H S_tx with
+            # b = S_tx u / ||S_tx u||, which the transmit signals see as
+            # alpha u = sigma S_rx z ||S_tx u||, the engine's draw
             for t in range(cfg.t_targets):
+                u = np.array(
+                    [
+                        math.sqrt(g_tgt[t, mp]) * (a_tgt[t, mp].conj() @ tx_signals[int(mp)])
+                        for mp in tx_all
+                    ]
+                )
+                b = s_tx[t] @ u
+                b /= np.linalg.norm(b)
+                alpha = sigma * np.outer(s_rx[t] @ z[f, t], b.conj() @ s_tx[t])
                 for ri, m in enumerate(rx_all):
                     for pi, mp in enumerate(tx_all):
                         channels.target_links[(t, int(m), int(mp))] = TargetLink(
-                            alpha=complex(alphas[t][f, ri, pi]),
+                            alpha=complex(alpha[ri, pi]),
                             beta=float(g_tgt[t, m] * g_tgt[t, mp]),
                             tx_steering=a_tgt[t, mp],
                             rx_steering=a_tgt[t, m],
@@ -502,28 +516,30 @@ class TestBeams:
         assert diag.zf_leakage_max == leak_max
 
     def test_direct_bank_matches_scalar_rician(self):
-        # at K = 300 dB the scattered part is 1e-15 of the LoS part, so every
-        # (tx, rx) slice of the bank must equal the scalar Rician matrix that
-        # maps the tx array onto the rx array, each with its own broadside
+        # at K = 300 dB the scattered part is 1e-15 of the LoS part, so the direct
+        # term at every receive AP must equal the sum over the transmit APs of the
+        # scalar Rician matrix that maps the tx array onto the rx array, each with
+        # its own broadside, times that AP's signal
         cfg = ExperimentConfig(**{**TINY, "rician_k_db": 300.0, "random_broadside": True})
         ctx, _ = _drop_context(cfg)
-        bank = _direct_channel_bank(cfg, ctx, 0)
         layout = ctx.layout
-        assert bank.shape == (
-            cfg.n_fading, len(ctx.tx_all), len(ctx.rx_all), cfg.n_antennas, cfg.n_antennas
+        n_snap, n_ant = 2, cfg.n_antennas
+        s_tx = complex_normal(
+            np.random.default_rng(1), (n_snap, cfg.n_fading, len(ctx.tx_all), n_ant)
         )
+        direct = _direct_path(cfg, ctx, s_tx, np.random.default_rng(2))
+        assert direct.shape == (n_snap, cfg.n_fading, len(ctx.rx_all), n_ant)
 
         def geom(m):
-            return ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths, layout.broadsides[m])
+            return ArrayGeometry(n_ant, cfg.spacing_wavelengths, layout.broadsides[m])
 
         rng = np.random.default_rng(0)
-        for p, mt in enumerate(ctx.tx_all):
-            for r, mr in enumerate(ctx.rx_all):
-                dist = float(np.linalg.norm(layout.aps[mt] - layout.aps[mr]))
-                gain = linear_gain(pathloss_db(dist, "ap_target_los", cfg.carrier_ghz))
-                for f in range(cfg.n_fading):
-                    expected = draw_ap_ap_channel(
-                        gain,
+        for r, mr in enumerate(ctx.rx_all):
+            for f in range(cfg.n_fading):
+                expected = np.zeros((n_snap, n_ant), dtype=complex)
+                for p, mt in enumerate(ctx.tx_all):
+                    channel = draw_ap_ap_channel(
+                        _gain(cfg, layout.aps[mt], layout.aps[mr]),
                         geom(mt),
                         geom(mr),
                         layout.aps[mt],
@@ -531,8 +547,132 @@ class TestBeams:
                         cfg.rician_k_linear,
                         rng,
                     )
-                    np.testing.assert_allclose(bank[f, p, r], expected, rtol=1e-12)
+                    expected += s_tx[:, f, p] @ channel.T
+                scale = np.abs(expected).max()
+                np.testing.assert_allclose(
+                    direct[:, f, r], expected, rtol=1e-12, atol=1e-12 * scale
+                )
 
+
+def _gain(cfg, a, b):
+    """One-way LoS linear gain between two positions."""
+    dist = float(np.linalg.norm(a - b))
+    return linear_gain(pathloss_db(dist, "ap_target_los", cfg.carrier_ghz))
+
+
+def _normalized(cov, expected):
+    """Both covariances divided by the expected standard deviations."""
+    d = np.sqrt(np.real(np.diag(expected)))
+    return cov / np.outer(d, d), expected / np.outer(d, d)
+
+
+class TestEchoLaw:
+    """The echo and the direct path drawn in law against their covariances."""
+
+    N_DRAWS = 100_000
+    CFG = ExperimentConfig(**{**TINY, "t_targets": 1})
+
+    def _fixed_signals(self, ctx, n_snap):
+        """One random transmit signal per snapshot, the same in every draw."""
+        shape = (n_snap, 1, len(ctx.tx_all), self.CFG.n_antennas)
+        signals = complex_normal(np.random.default_rng(4), shape)
+        return np.broadcast_to(signals, (n_snap, self.N_DRAWS, *signals.shape[2:]))
+
+    def _u_and_kernels(self, ctx, s_tx):
+        """u = sqrt(g_tx) (a_tx^H s) per snapshot, K_rx, K_tx and sqrt(g_rx) of target 0."""
+        cfg, layout, target = self.CFG, ctx.layout, ctx.layout.targets[0]
+        tx, rx = ctx.tx_all, ctx.rx_all
+        geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
+        u = np.array(
+            [
+                [
+                    math.sqrt(_gain(cfg, target, layout.aps[m]))
+                    * (steering_to(geom, layout.aps[m], target).conj() @ s[p])
+                    for p, m in enumerate(tx)
+                ]
+                for s in s_tx[:, 0]
+            ]
+        ).T  # (P, J)
+        corr = cfg.angular_corr_rad
+        k_rx = view_angle_kernel(target, layout.aps[rx], corr)
+        k_tx = view_angle_kernel(target, layout.aps[tx], corr)
+        sqrt_g_rx = np.sqrt([_gain(cfg, target, layout.aps[m]) for m in rx])
+        return u, k_rx, k_tx, sqrt_g_rx
+
+    def test_echo_covariance_at_fixed_u(self):
+        cfg = self.CFG
+        ctx, _ = _drop_context(cfg)
+        s_tx = self._fixed_signals(ctx, 1)
+        echo = _target_echoes(ctx, s_tx, np.random.default_rng(5))
+        w = echo[0, :, :, 0]  # entry 0 of every steering vector is 1
+        cov = w.T @ w.conj() / self.N_DRAWS  # E[w_r conj(w_r')]
+
+        u, k_rx, k_tx, sqrt_g_rx = self._u_and_kernels(ctx, s_tx)
+        u = u[:, 0]
+        d = np.diag(sqrt_g_rx)
+        expected = cfg.sigma_rcs2_m2 * (d @ k_rx @ d) * np.real(u.conj() @ k_tx @ u)
+        # the same covariance from the oracle's pair covariance, contracted with u
+        model = RcsModel(cfg.sigma_rcs2_m2, cfg.angular_corr_rad)
+        pair = rcs_pair_covariance(
+            ctx.layout.targets[0], ctx.layout.aps[ctx.rx_all], ctx.layout.aps[ctx.tx_all], model
+        )
+        n_rx, n_tx = len(ctx.rx_all), len(ctx.tx_all)
+        contracted = np.einsum(
+            "apbq,p,q->ab", pair.reshape(n_rx, n_tx, n_rx, n_tx), u, u.conj()
+        )
+        np.testing.assert_allclose(d @ contracted @ d, expected, rtol=1e-10)
+        got, want = _normalized(cov, expected)
+        np.testing.assert_allclose(got, want, atol=0.02)
+
+    def test_snapshots_share_the_reflectivities(self):
+        # with two snapshots the cross-snapshot covariance is the Gram u_i^H K_tx u_j
+        cfg = self.CFG
+        ctx, _ = _drop_context(cfg)
+        s_tx = self._fixed_signals(ctx, 2)
+        echo = _target_echoes(ctx, s_tx, np.random.default_rng(6))
+        w = echo[:, :, :, 0].transpose(1, 2, 0).reshape(self.N_DRAWS, -1)  # (F, R J), r-major
+        cov = w.T @ w.conj() / self.N_DRAWS
+
+        u, k_rx, k_tx, sqrt_g_rx = self._u_and_kernels(ctx, s_tx)
+        gram = u.conj().T @ k_tx @ u
+        d = np.diag(sqrt_g_rx)
+        expected = np.kron(cfg.sigma_rcs2_m2 * (d @ k_rx @ d), gram.conj())
+        assert abs(gram[0, 1]) > 0.1 * np.sqrt(gram[0, 0].real * gram[1, 1].real)
+        got, want = _normalized(cov, expected)
+        np.testing.assert_allclose(got, want, atol=0.02)
+
+    @pytest.mark.parametrize("n_snap", [1, 2])
+    def test_direct_scatter_covariance(self, n_snap):
+        # the scattered part of the direct path at receive AP r has covariance
+        # sum_p g_pr ||s_p||^2 / (K + 1) I_N, independent across receive APs; over
+        # two snapshots each antenna has the Gram sum_p g_pr s_p,i^H s_p,j / (K + 1)
+        cfg = self.CFG.replace(direct_residual=0.1)
+        ctx, _ = _drop_context(cfg)
+        s_tx = self._fixed_signals(ctx, n_snap)
+        direct = _direct_path(cfg, ctx, s_tx, np.random.default_rng(7))
+        centered = direct - direct.mean(axis=1, keepdims=True)
+        x = centered.transpose(1, 2, 3, 0).reshape(self.N_DRAWS, -1)  # (F, R N J), r-major
+        cov = x.T @ x.conj() / self.N_DRAWS
+
+        aps = ctx.layout.aps
+        signals = s_tx[:, 0]  # (J, P, N)
+        blocks = []
+        for mr in ctx.rx_all:
+            gram = sum(
+                _gain(cfg, aps[mt], aps[mr]) * (signals[:, p].conj() @ signals[:, p].T)
+                for p, mt in enumerate(ctx.tx_all)
+            ) / (cfg.rician_k_linear + 1.0)
+            blocks.append(np.kron(np.eye(cfg.n_antennas), gram.conj()))
+        expected = block_diag(*blocks)
+        got, want = _normalized(cov, expected)
+        np.testing.assert_allclose(got, want, atol=0.02)
+
+    def test_more_snapshots_than_transmit_aps(self):
+        # 9 snapshots from 8 transmit APs: every target's snapshot Gram is singular
+        cfg = ExperimentConfig(**{**TINY, "n_snapshots": 9, "direct_residual": 0.1})
+        dr = run_drop(cfg, 0)
+        assert len(dr.assignment.tx_aps) < cfg.n_snapshots
+        assert np.all(np.isfinite(dr.statistics)) and np.all(dr.statistics > 0)
 
 
 class TestConfigKnobs:

@@ -55,27 +55,28 @@ class TestDispatch:
 
     def test_echo_mix_matches_direct_sum(self):
         rng = np.random.default_rng(2)
-        n_fading, n_targets, n_rx, n_tx, n_ant = 5, 4, 3, 8, 6
+        n_fading, n_targets, n_rx, n_snap, n_ant = 5, 4, 3, 2, 6
         a_rx = complex_normal(rng, (n_targets, n_rx, n_ant))
-        ab = complex_normal(rng, (n_fading, n_targets, n_rx, n_tx))
-        c = complex_normal(rng, (n_fading, n_targets, n_tx))
+        ab = complex_normal(rng, (n_fading, n_targets, n_rx, n_snap))
+        c = complex_normal(rng, (n_fading, n_targets, n_snap, n_snap))
         got = kernels.echo_mix(a_rx, ab, c)
-        assert got.shape == (n_fading, n_rx, n_ant)
-        for f in range(n_fading):
-            for r in range(n_rx):
-                expected = np.zeros(n_ant, dtype=complex)
-                for t in range(n_targets):
-                    weight = sum(ab[f, t, r, p] * c[f, t, p] for p in range(n_tx))
-                    expected += a_rx[t, r] * weight
-                np.testing.assert_allclose(got[f, r], expected, rtol=1e-10, atol=1e-12)
+        assert got.shape == (n_snap, n_fading, n_rx, n_ant)
+        for j in range(n_snap):
+            for f in range(n_fading):
+                for r in range(n_rx):
+                    expected = np.zeros(n_ant, dtype=complex)
+                    for t in range(n_targets):
+                        weight = sum(ab[f, t, r, i] * c[f, t, i, j] for i in range(n_snap))
+                        expected += a_rx[t, r] * weight
+                    np.testing.assert_allclose(got[j, f, r], expected, rtol=1e-10, atol=1e-12)
 
     def test_zero_targets_echo(self):
         out = kernels.echo_mix(
             np.zeros((0, 2, 4), dtype=complex),
-            np.zeros((3, 0, 2, 5), dtype=complex),
-            np.zeros((3, 0, 5), dtype=complex),
+            np.zeros((3, 0, 2, 1), dtype=complex),
+            np.zeros((3, 0, 1, 1), dtype=complex),
         )
-        np.testing.assert_array_equal(out, np.zeros((3, 2, 4)))
+        np.testing.assert_array_equal(out, np.zeros((1, 3, 2, 4)))
 
 
 class TestBeamBank:
