@@ -122,17 +122,20 @@ class _DropContext:
         f_ghz = cfg.carrier_ghz
         corr = cfg.angular_corr_rad
 
-        # flat cell table: the regions' cells concatenated, with each cell's region
-        cells = [cell for region in layout.regions for cell in region.cells]
-        n_cells = [len(region.cells) for region in layout.regions]
-        cell_region = np.repeat(np.arange(len(n_cells)), n_cells)
+        # the inspected cells only: the schedule's cells in global ids (regions'
+        # cells concatenated), mapped to compact ids into the cell tables
+        regions = layout.regions
+        offsets = np.cumsum([0] + [len(region.cells) for region in regions[:-1]])
+        inspected, cell_of = np.unique(schedule.epochs + offsets, return_inverse=True)
+        cell_region = np.searchsorted(offsets, inspected, side="right") - 1
+        cells = [regions[l].cells[c - offsets[l]] for l, c in zip(cell_region, inspected)]
         cell_centers = np.array([cell.center for cell in cells])
         self.n_epochs = schedule.n_epochs
 
-        # schedule in global cell ids: (n_epochs, L)
-        self.cell_of = schedule.epochs + np.cumsum([0] + n_cells[:-1])[None, :]
+        # schedule in compact cell ids: (n_epochs, L)
+        self.cell_of = cell_of.reshape(schedule.epochs.shape)
 
-        # AP-side banks toward every cell center and every true target
+        # AP-side banks toward every inspected cell center and every true target
         self.a_cell = steering_bank(geom, layout.aps, layout.broadsides, cell_centers)
         self.g_cell = _los_gains(cell_centers, layout.aps, f_ghz)
         self.a_tgt = steering_bank(geom, layout.aps, layout.broadsides, layout.targets)
@@ -164,7 +167,7 @@ class _DropContext:
         self.cluster_rx_pos = np.searchsorted(self.rx_all, self.cluster_rx)
 
         # hypothesized reflectivity covariance of each cell over its region's
-        # cluster transmit APs, by global cell id: (C, n_tx, n_tx)
+        # cluster transmit APs, by compact cell id: (C, n_tx, n_tx)
         tx_of_cell = layout.aps[self.cluster_tx[cell_region]]  # (C, n_tx, 3)
         self.r_cell = cfg.sigma_rcs2_m2 * view_angle_kernel(cell_centers, tx_of_cell, corr)
 
@@ -230,25 +233,18 @@ def _sense_beams(
     return w0, diag
 
 
-def _comm_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Conjugated power-scaled MF beams conj(h) / ||h|| * amp, zero off the serving sets.
+def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Conjugated power-scaled MF beams amp * conj(h) / ||h|| over the last axis of h.
 
-    Norms are taken only on the served (k, m) links. The complex result is
-    written once: its real and imaginary parts times 1/||h||, with the
-    conjugating sign folded into the imaginary one (bitwise the same as
-    dividing by ||h|| and then conjugating), then times amp.
+    The squared norms are one einsum over the float64 view of h. Links with
+    amp = 0 get a zero beam without a division, so an unserved zero channel
+    gives no NaN. Both downlink paths build their beams here.
     """
-    n_fading, k_ues, m_total, n_ant = h.shape
-    served = np.flatnonzero(amp)  # flat (k, m) indices
-    h_served = np.take(h.reshape(n_fading, k_ues * m_total, n_ant), served, axis=1)
-    inv_norm = np.zeros((n_fading, k_ues * m_total))
-    inv_norm[:, served] = 1.0 / np.linalg.norm(h_served, axis=2)
-    inv_norm = inv_norm.reshape(n_fading, k_ues, m_total, 1)
-    w_conj = np.empty_like(h)
-    np.multiply(h.real, inv_norm, out=w_conj.real)
-    np.multiply(h.imag, -inv_norm, out=w_conj.imag)
-    w_view = w_conj.view(np.float64)
-    w_view *= amp[:, :, None]
+    h_re = h.view(np.float64)
+    norm = np.sqrt(np.einsum("...i,...i->...", h_re, h_re))
+    scale = np.divide(amp, norm, out=np.zeros(norm.shape), where=amp > 0)
+    w_conj = h.conj()
+    w_conj *= scale[..., None]
     return w_conj
 
 
@@ -258,17 +254,14 @@ def _beam_bank(
     """Per-AP bank of the conjugated beams of every AP that serves or senses.
 
     Each AP's rows are the MF beams of its served UEs, ascending, then its
-    sensing beam w0_amp, with the same values as the nonzero entries of
-    ``_comm_beams`` and ``conj(w0_amp)``. A UE beam's column is its UE index
-    k; the sensing beam of ``sensing[s]`` has column K + s. Returns the
-    (rows, aps, columns) bank that ``kernels.bank_gains`` reads.
+    sensing beam w0_amp, with the same values as the nonzero entries of the
+    dense ``_mf_beams(h, amp)`` and ``conj(w0_amp)``. A UE beam's column is
+    its UE index k; the sensing beam of ``sensing[s]`` has column K + s.
+    Returns the (rows, aps, columns) bank that ``kernels.bank_gains`` reads.
     """
     k_ues = h.shape[1]
     m_comm, k_comm = np.nonzero(amp.T)  # served links, grouped by AP
-    h_comm = h[:, k_comm, m_comm, :]
-    w_comm = h_comm.conj()
-    w_comm *= (1.0 / np.linalg.norm(h_comm, axis=2))[:, :, None]
-    w_comm *= amp[k_comm, m_comm][:, None]
+    w_comm = _mf_beams(h[:, k_comm, m_comm, :], amp[k_comm, m_comm])
     aps = np.concatenate([m_comm, sensing])
     order = np.argsort(aps, kind="stable")  # an AP's sensing beam after its UE beams
     rows = np.concatenate([w_comm, w0_amp[:, sensing].conj()], axis=1)[:, order]
@@ -313,7 +306,7 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None)
     sigma2 = cfg.sigma_z2_w
 
     # one scan epoch per fading realization, cycling through the sweep
-    epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) global ids
+    epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) cell ids
 
     w0, diagnostics = _sense_beams(ctx, h, epoch_cells)
 
@@ -391,7 +384,7 @@ def _downlink(ctx: _DropContext, h: np.ndarray, w0_amp: np.ndarray) -> tuple:
     else:
         # leakage first: its temporaries and the beam tensor are never live together
         leak = kernels.sense_leakage(h, w0_amp)
-        w_conj = _comm_beams(h, ctx.amp)
+        w_conj = _mf_beams(h, ctx.amp)
         power = np.abs(kernels.cross_gains(h, w_conj)) ** 2
 
         def transmit(x, x0):

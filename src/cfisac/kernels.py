@@ -40,11 +40,14 @@ def sense_leakage(h: np.ndarray, w0_amp: np.ndarray) -> np.ndarray:
     """Total sensing-beam interference power received by every UE.
 
     s[f, k] = sum_m |conj(h[f, k, m, :]) . w0_amp[f, m, :]|^2, with w0_amp
-    zero for APs without a sensing beam. The small (F, M, N) operand is the
-    one conjugated: |conj(h) . w| = |h . conj(w)| bitwise.
+    zero for APs without a sensing beam. One batched matmul gives every
+    AP's (K, N) channels times its beam, (F, M, K, 1); the squared
+    magnitudes are then summed over M. The small (F, M, N) operand is the
+    one conjugated: |conj(h) . w| = |h . conj(w)| bitwise, and h is never
+    copied.
     """
-    g = np.einsum("fkmn,fmn->fkm", h, w0_amp.conj(), optimize=True)
-    return (np.abs(g) ** 2).sum(axis=2)
+    g = np.matmul(h.transpose(0, 2, 1, 3), w0_amp.conj()[..., None])
+    return (np.abs(g[..., 0]) ** 2).sum(axis=1)
 
 
 def _ap_segments(aps: np.ndarray) -> np.ndarray:

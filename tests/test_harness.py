@@ -27,8 +27,8 @@ from cfisac.harness import (
     _S_SHADOW,
     _S_SYMBOL,
     _DropContext,
-    _comm_beams,
     _direct_path,
+    _mf_beams,
     _sense_beams,
     _stream,
     _target_echoes,
@@ -138,11 +138,11 @@ class TestRunDrop:
         for module, name in (
             (kernels, "bank_gains"),
             (kernels, "cross_gains"),
-            (harness, "_comm_beams"),
+            (harness, "_mf_beams"),
         ):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         run_drop(ExperimentConfig(mode=mode, n_fading=2), 0)
-        assert calls == (["bank_gains"] if banked else ["_comm_beams", "cross_gains"])
+        assert calls == ["_mf_beams", "bank_gains" if banked else "cross_gains"]
 
     def test_decision_consistent_with_threshold(self):
         dr = run_drop(ExperimentConfig(**TINY), 0)
@@ -410,11 +410,13 @@ class TestBatchedPipelineMatchesOps:
                 assert 10 * math.log10(snr) == pytest.approx(dr.sensing_snr_db[f, l], rel=1e-9)
 
 
-def _drop_context(cfg, drop=0, layout=None):
+def _drop_context(cfg, drop=0, layout=None, all_cells=False):
     """The engine's per-drop context and read-only fading tensor, from draw_drop.
 
     A given ``layout`` replaces the drawn one; it keeps the drawn APs and UEs,
-    so the drawn gains, schedule and fading still belong to it.
+    so the drawn gains, schedule and fading still belong to it. With
+    ``all_cells`` the schedule is the whole sweep, so the context's cell
+    tables cover every cell and its cell ids are the global ones.
     """
     drawn, gains, schedule, h = draw_drop(cfg, drop)
     if layout is None:
@@ -422,6 +424,8 @@ def _drop_context(cfg, drop=0, layout=None):
     else:
         np.testing.assert_array_equal(layout.aps, drawn.aps)
         np.testing.assert_array_equal(layout.ues, drawn.ues)
+    if all_cells:
+        schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
     assignment = build_assignment(layout, gains, cfg)
     return _DropContext(cfg, layout, assignment, schedule, gains), h
 
@@ -445,7 +449,7 @@ class TestGroundTruth:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_contains_loop(self, seed):
         cfg = ExperimentConfig(seed=seed, t_targets=3 * seed, n_fading=1)
-        ctx, _ = _drop_context(cfg)
+        ctx, _ = _drop_context(cfg, all_cells=True)
         layout = ctx.layout
         np.testing.assert_array_equal(ctx.truth_cell, _truth_loop(layout))
         assert ctx.truth_cell.sum() <= len(layout.targets)
@@ -463,21 +467,58 @@ class TestGroundTruth:
                 cell_ids.append(offset + ci)
             offset += len(region.cells)
         layout = replace(layout, targets=np.array(targets), target_regions=np.array(regions))
-        truth = _drop_context(cfg, layout=layout)[0].truth_cell
+        truth = _drop_context(cfg, layout=layout, all_cells=True)[0].truth_cell
         np.testing.assert_array_equal(truth, _truth_loop(layout))
         # [x0, x1) x [y0, y1): a lower corner is inside its cell, an upper corner is not
         inside = truth[cell_ids]
         assert inside.all() if edge == "lower" else not inside.any()
 
+    @pytest.mark.parametrize("mode", ["UTC", "CF"])
+    def test_compact_cell_tables_match_full_tables(self, mode):
+        # 2 realizations inspect 2 epochs of 4 regions, 8 of the 64 cells: the
+        # compact tables hold exactly those, bitwise the full tables' rows
+        cfg = ExperimentConfig(mode=mode, t_targets=20, n_fading=2)
+        ctx, _ = _drop_context(cfg)
+        full, _ = _drop_context(cfg, all_cells=True)
+        global_of = full.cell_of[: ctx.n_epochs]
+        assert ctx.cell_of.shape == global_of.shape == (2, cfg.l_regions)
+        assert len(ctx.a_cell) == len(np.unique(global_of)) == 8
+        assert full.truth_cell[global_of].any()
+        for table in ("a_cell", "g_cell", "r_cell", "truth_cell"):
+            compact, whole = getattr(ctx, table), getattr(full, table)
+            assert len(compact) == len(ctx.a_cell)
+            np.testing.assert_array_equal(compact[ctx.cell_of], whole[global_of])
+
 
 class TestBeams:
     @pytest.mark.parametrize("mode", ["UTC", "CF"])
-    def test_comm_beams_bitwise_match_normalized_channel(self, mode):
+    def test_mf_beams_bitwise_match_scaled_conjugate(self, mode):
+        # conj(h) times amp / ||h||, the squared norm summed over the float view
         ctx, h = _drop_context(ExperimentConfig(**{**TINY, "mode": mode, "n_fading": 6}))
-        beams = (h / np.linalg.norm(h, axis=3, keepdims=True)) * ctx.amp[None, :, :, None]
-        expected = beams.conj()
-        got = _comm_beams(h, ctx.amp)
+        h_re = h.view(np.float64)
+        norm = np.sqrt(np.einsum("fkmi,fkmi->fkm", h_re, h_re))
+        served = ctx.amp > 0
+        assert served.any() and not served.all()
+        scale = np.where(served, ctx.amp / norm, 0.0)
+        expected = h.conj() * scale[:, :, :, None]
+        got = _mf_beams(h, ctx.amp)
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
+
+    def test_mf_beams_zero_on_unserved_zero_channels(self):
+        # an unserved link with a zero channel gets an exact zero beam: no
+        # division by its zero norm, no NaN and no floating-point warning
+        rng = np.random.default_rng(6)
+        h = complex_normal(rng, (4, 5, 6, 3))
+        amp = rng.uniform(0.5, 2.0, (5, 6)) * (rng.random((5, 6)) < 0.5)
+        amp[0, 0], amp[1, 2] = 0.0, 1.5  # at least one unserved and one served link
+        h[:, amp == 0] = 0.0
+        with np.errstate(all="raise"):
+            w_conj = _mf_beams(h, amp)
+        assert np.array_equal(w_conj[:, amp == 0], np.zeros_like(w_conj[:, amp == 0]))
+        norms = np.linalg.norm(w_conj, axis=3)
+        served = np.broadcast_to(amp > 0, norms.shape)
+        expected = np.broadcast_to(amp, norms.shape)[served]
+        np.testing.assert_allclose(norms[served], expected, rtol=1e-15, atol=0)
 
     def test_zf_partial_fallback(self):
         # realizations 1 and 4 give every ZF AP an annulled channel equal to

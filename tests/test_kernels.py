@@ -3,7 +3,7 @@ import pytest
 
 from cfisac import kernels
 from cfisac.channel import complex_normal
-from cfisac.harness import _beam_bank, _comm_beams
+from cfisac.harness import _beam_bank, _mf_beams
 
 
 def random_problem(rng, n_fading=3, n_ues=5, n_aps=7, n_ant=4, q=2):
@@ -48,8 +48,8 @@ class TestDispatch:
         h, _ = random_problem(rng, n_fading=6, n_ues=9, n_aps=11, n_ant=8)
         w0_amp = complex_normal(rng, (6, 11, 8))
         w0_amp[:, [1, 4, 7], :] = 0.0
-        g = np.einsum("fkmn,fmn->fkm", h.conj(), w0_amp, optimize=True)
-        expected = (np.abs(g) ** 2).sum(axis=2)
+        g = np.matmul(h.conj().transpose(0, 2, 1, 3), w0_amp[..., None])  # (F, M, K, 1)
+        expected = (np.abs(g[..., 0]) ** 2).sum(axis=1)
         got = kernels.sense_leakage(h, w0_amp)
         assert np.array_equal(got.view(np.float64), expected.view(np.float64))
 
@@ -93,7 +93,7 @@ class TestBeamBank:
         w0_amp = np.zeros((n_fading, n_aps, n_ant), dtype=complex)
         w0_amp[:, sensing] = complex_normal(rng, (n_fading, len(sensing), n_ant))
 
-        w_conj = _comm_beams(h, amp)
+        w_conj = _mf_beams(h, amp)
         rows, aps, columns = _beam_bank(h, amp, w0_amp, sensing)
         comm = columns < n_ues
         assert np.all(np.diff(aps) >= 0) and 3 not in aps
