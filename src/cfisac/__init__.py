@@ -6,6 +6,7 @@ from .harness import (
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
+    run_arms,
     run_drop,
     run_experiment,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "preset_beamformer_comparison",
     "preset_mode_comparison",
     "preset_rx_sweep",
+    "run_arms",
     "run_drop",
     "run_experiment",
     "__version__",

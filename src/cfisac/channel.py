@@ -40,10 +40,8 @@ def pathloss_db(
     return 22.0 * np.log10(d) + 28.0 + 20.0 * np.log10(f_ghz)
 
 
-def linear_gain(
-    pathloss_db_value: float | np.ndarray, shadowing_db: float | np.ndarray = 0.0
-) -> float | np.ndarray:
-    return 10.0 ** (-(pathloss_db_value + shadowing_db) / 10.0)
+def linear_gain(pathloss_db_value: float | np.ndarray) -> float | np.ndarray:
+    return 10.0 ** (-pathloss_db_value / 10.0)
 
 
 # --- steering --------------------------------------------------------------

@@ -16,6 +16,7 @@ from .harness import (
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
+    run_arms,
     run_experiment,
 )
 from .metrics import ResultSet, write_results
@@ -32,8 +33,9 @@ def calibrate_threshold_mc(
 ) -> float:
     """Monte Carlo cross-check: empirical quantile of noise-only statistics.
 
-    ``execute`` calls ``calibrate_threshold`` first, which rejects a target_pfa
-    outside (0, 1) and a total_rank below 1.
+    ``execute`` rejects n_draws below 1 and a sigma_z2 that is not positive
+    and finite, then calls ``calibrate_threshold``, which rejects a target_pfa outside
+    (0, 1) and a total_rank below 1.
     """
     z = complex_normal(rng, (n_draws, total_rank))
     stats = sigma_z2 * (np.abs(z) ** 2).sum(axis=1)
@@ -127,6 +129,10 @@ def _run_and_write(args, results: dict[str, ResultSet], cfg: ExperimentConfig) -
 
 def execute(args) -> int:
     if args.command == "calibrate-pfa":
+        if args.mc_draws < 1:
+            raise ConfigError("--mc-draws must be >= 1")
+        if not 0 < args.sigma2 < np.inf:
+            raise ConfigError("--sigma2 must be positive and finite")
         analytic = calibrate_threshold(args.rank, args.sigma2, args.pfa)
         mc = calibrate_threshold_mc(
             args.rank, args.sigma2, args.pfa, args.mc_draws, np.random.default_rng(args.seed)
@@ -143,14 +149,14 @@ def execute(args) -> int:
     if args.command == "run":
         return _run_and_write(args, {"run": run_experiment(cfg, label="run")}, cfg)
     if args.command == "preset-modes":
-        return _run_and_write(args, preset_mode_comparison(cfg), cfg)
-    if args.command == "preset-rx-sweep":
-        counts = [int(x) for x in str(args.rx).split(",") if x.strip()]
-        return _run_and_write(args, preset_rx_sweep(cfg, counts), cfg)
-    if args.command == "preset-beamformers":
-        values = [int(x) for x in str(args.kzf).split(",") if x.strip()]
-        return _run_and_write(args, preset_beamformer_comparison(cfg, values), cfg)
-    raise ConfigError(f"unhandled command {args.command!r}")
+        arms = preset_mode_comparison(cfg)
+    elif args.command == "preset-rx-sweep":
+        arms = preset_rx_sweep(cfg, [int(x) for x in args.rx.split(",") if x.strip()])
+    elif args.command == "preset-beamformers":
+        arms = preset_beamformer_comparison(cfg, [int(x) for x in args.kzf.split(",") if x.strip()])
+    else:
+        raise ConfigError(f"unhandled command {args.command!r}")
+    return _run_and_write(args, run_arms(arms), cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,8 +8,9 @@ reductions run through :mod:`cfisac.kernels`.
 Random streams are derived from (seed, drop, purpose) tuples, so
 drops are order-independent and experiment arms that share a seed see
 identical layouts, shadowing and fading draws (common random numbers).
-``draw_drop`` is that shared draw; a preset makes it once per drop and
-evaluates every arm on it, and ``run_drop`` evaluates one arm.
+``draw_drop`` is that shared draw and ``run_drop`` evaluates one arm on it.
+A preset is a table of arms (label -> config), and ``run_arms`` runs any
+table: it draws each drop once and runs each distinct config once on it.
 """
 
 from __future__ import annotations
@@ -269,6 +270,15 @@ def _beam_bank(
     return rows, aps[order], columns
 
 
+# every config value that draw_drop reads: the arms of one table agree on each
+_DRAW_INPUTS = (
+    "seed", "n_fading", "m_aps", "k_ues", "t_targets", "l_regions", "n_antennas",
+    "area_side_m", "ap_height_m", "ue_height_m", "target_height_min_m",
+    "target_height_max_m", "inspection_height_m", "resolved_cell_extent_m",
+    "random_broadside", "carrier_ghz", "shadowing_enabled", "shadowing_std_db",
+)
+
+
 def draw_drop(
     cfg: ExperimentConfig, drop_index: int
 ) -> tuple[NetworkLayout, np.ndarray, ScanSchedule, np.ndarray]:
@@ -482,53 +492,62 @@ def _direct_path(
 
 def run_experiment(cfg: ExperimentConfig, label: str = "run") -> ResultSet:
     """Run every drop of one arm and aggregate them under ``label`` in lower case."""
-    return _run_arms({label: cfg})[label]
+    return run_arms({label: cfg})[label]
 
 
 # --- experiment presets ------------------------------------------------------
 
 
-def _run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
-    """Check every arm's config, then run each under its key in lower case.
+def run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
+    """Check every arm's config, then run the table: each label's ResultSet.
 
-    An empty set of arms or a bad arm fails before the first drop of any
-    arm. Each drop is drawn once and every arm is evaluated on it: the arms
-    differ only in fields that ``draw_drop`` does not read. A single arm
-    draws inside ``run_drop``, so a drop's time includes its draw.
+    An empty table, a bad arm, or an arm that differs from the first in
+    n_drops or in a value that ``draw_drop`` reads fails before the first
+    drop of any arm. Each drop is drawn once and every arm is evaluated on
+    it. Arms with equal configs run once, and each of their labels
+    aggregates the shared drops in lower case. A single distinct arm draws
+    inside ``run_drop``, so a drop's time includes its draw.
     """
     if not arms:
         raise ConfigError("the preset has no arms: its list of values is empty")
-    for arm_cfg in arms.values():
+    shared = next(iter(arms.values()))  # the draw every arm of the table reads
+    distinct = []  # the table's configs, each once, in table order
+    for key, arm_cfg in arms.items():
         arm_cfg.validate()
-    shared = next(iter(arms.values()))  # any arm: they all draw the same drop
-    drops = {key: [] for key in arms}
+        for name in ("n_drops", *_DRAW_INPUTS):
+            if getattr(arm_cfg, name) != getattr(shared, name):
+                raise ConfigError(f"arm {key!r} does not share the table's draw: {name} differs")
+        if arm_cfg not in distinct:
+            distinct.append(arm_cfg)
+    drops = [[] for _ in distinct]
     for d in range(shared.n_drops):
-        drawn = draw_drop(shared, d) if len(arms) > 1 else None
-        for key, arm_cfg in arms.items():
-            drops[key].append(run_drop(arm_cfg, d, drawn))
-    return {key: _aggregate(arm_cfg, key.lower(), drops[key]) for key, arm_cfg in arms.items()}
+        drawn = draw_drop(shared, d) if len(distinct) > 1 else None
+        for arm_cfg, arm_drops in zip(distinct, drops):
+            arm_drops.append(run_drop(arm_cfg, d, drawn))
+    return {
+        key: _aggregate(arm_cfg, key.lower(), drops[distinct.index(arm_cfg)])
+        for key, arm_cfg in arms.items()
+    }
 
 
-def preset_mode_comparison(cfg: ExperimentConfig) -> dict[str, ResultSet]:
+def preset_mode_comparison(cfg: ExperimentConfig) -> dict[str, ExperimentConfig]:
     """The four clustering modes under common random numbers."""
-    return _run_arms({mode: replace(cfg, mode=mode) for mode in VALID_MODES})
+    return {mode: replace(cfg, mode=mode) for mode in VALID_MODES}
 
 
-def preset_rx_sweep(cfg: ExperimentConfig, rx_counts: list[int]) -> dict[str, ResultSet]:
+def preset_rx_sweep(cfg: ExperimentConfig, rx_counts: list[int]) -> dict[str, ExperimentConfig]:
     """Vary the receive-AP count at a fixed per-region cluster size."""
     cluster_size = cfg.m_tx_per_region + cfg.m_rx_per_region
-    return _run_arms(
-        {
-            f"rx{rx}": replace(cfg, m_rx_per_region=rx, m_tx_per_region=cluster_size - rx)
-            for rx in rx_counts
-        }
-    )
+    return {
+        f"rx{rx}": replace(cfg, m_rx_per_region=rx, m_tx_per_region=cluster_size - rx)
+        for rx in rx_counts
+    }
 
 
 def preset_beamformer_comparison(
     cfg: ExperimentConfig, k_zf_values: list[int]
-) -> dict[str, ResultSet]:
+) -> dict[str, ExperimentConfig]:
     """Matched-filter sensing beams against partial zero-forcing variants."""
     arms = {"mf": replace(cfg, beamformer="MF")}
     arms.update({f"zf-k{k}": replace(cfg, beamformer="ZF", k_zf=k) for k in k_zf_values})
-    return _run_arms(arms)
+    return arms

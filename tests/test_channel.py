@@ -46,7 +46,6 @@ class TestPathloss:
 
     def test_linear_gain(self):
         assert linear_gain(30.0) == pytest.approx(1e-3)
-        assert linear_gain(30.0, shadowing_db=10.0) == pytest.approx(1e-4)
 
 
 class TestSteering:

@@ -121,6 +121,23 @@ class TestExecution:
         assert main(argv) == 1
         assert "target_pfa must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mc-draws", "0", "--mc-draws must be >= 1"),
+            ("--sigma2", "0", "--sigma2 must be positive and finite"),
+            ("--sigma2", "-1", "--sigma2 must be positive and finite"),
+            ("--sigma2", "inf", "--sigma2 must be positive and finite"),
+        ],
+        ids=["zero-draws", "zero-sigma2", "negative-sigma2", "infinite-sigma2"],
+    )
+    def test_calibrate_pfa_rejects_bad_input(self, flag, value, message, capsys):
+        # one error line and exit 1, not a traceback, a negative threshold or a nan
+        assert main(["calibrate-pfa", "--rank", "2", "--mc-draws", "10", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_missing_config_file(self, capsys):
         assert main(["validate-config", "--config", "/no/such/file.cfg"]) == 1
 

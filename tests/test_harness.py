@@ -26,6 +26,7 @@ from cfisac.harness import (
     _S_SCHED,
     _S_SHADOW,
     _S_SYMBOL,
+    _DRAW_INPUTS,
     _DropContext,
     _direct_path,
     _mf_beams,
@@ -37,6 +38,7 @@ from cfisac.harness import (
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
+    run_arms,
     run_drop,
     run_experiment,
     ue_ap_gains,
@@ -163,66 +165,136 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="expected"):
             _aggregate(cfg, "short", [run_drop(cfg, 0)])
 
-    def test_presets_share_layouts(self):
-        # a preset draws each drop once for all its arms; every arm must be
-        # bitwise the arm that run_experiment draws on its own
-        cfg = ExperimentConfig(**TINY)
-        presets = [
+    @staticmethod
+    def _preset_tables(cfg):
+        return [
             preset_mode_comparison(cfg),
             preset_rx_sweep(cfg, [1, 2]),
             preset_beamformer_comparison(cfg, [1, 2]),
         ]
+
+    @staticmethod
+    def _assert_bitwise_equal(got, expected):
+        for field in (
+            "rates_bps",
+            "statistics",
+            "thresholds",
+            "decisions",
+            "truths",
+            "sensing_snr_db",
+        ):
+            a, b = getattr(got, field), getattr(expected, field)
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), field
+        assert got.diagnostics == expected.diagnostics
+
+    def test_presets_share_layouts(self):
+        # a preset draws each drop once for all its arms; every arm must be
+        # bitwise the arm that run_experiment draws on its own
+        cfg = ExperimentConfig(**TINY)
+        presets = [run_arms(table) for table in self._preset_tables(cfg)]
         for arms in presets:
             for rs in arms.values():
-                alone = run_experiment(rs.config)
-                for field in (
-                    "rates_bps",
-                    "statistics",
-                    "thresholds",
-                    "decisions",
-                    "truths",
-                    "sensing_snr_db",
-                ):
-                    got, expected = getattr(rs, field), getattr(alone, field)
-                    assert np.array_equal(got.view(np.uint8), expected.view(np.uint8)), field
-                assert rs.diagnostics == alone.diagnostics
+                self._assert_bitwise_equal(rs, run_experiment(rs.config))
         arms = presets[1]
         assert set(arms) == {"rx1", "rx2"}
         assert arms["rx1"].config.m_tx_per_region == 4
         assert arms["rx2"].config.m_tx_per_region == 3
 
-    def test_rx_sweep_rejects_degenerate_counts(self):
+    def test_campaign_matches_each_preset(self):
+        # the union of the three tables runs each distinct config once; every
+        # label still gets bitwise the ResultSet of its own preset
         cfg = ExperimentConfig(**TINY)
-        with pytest.raises(ConfigError):
-            preset_rx_sweep(cfg, [0])
-        with pytest.raises(ConfigError):
-            preset_rx_sweep(cfg, [5])  # cluster size 5 leaves no transmit AP
+        tables = self._preset_tables(cfg)
+        campaign = run_arms({key: arm for table in tables for key, arm in table.items()})
+        assert len(campaign) == sum(map(len, tables))
+        for table in tables:
+            for key, rs in run_arms(table).items():
+                assert campaign[key].label == rs.label == key.lower()
+                assert campaign[key].config == rs.config
+                self._assert_bitwise_equal(campaign[key], rs)
 
-    def test_presets_reject_a_bad_arm_before_the_first_drop(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every draw_drop and run_drop call the runner makes, in order."""
         calls = []
         monkeypatch.setattr(
             "cfisac.harness.draw_drop",
-            lambda cfg, d: calls.append(("draw_drop", d)) or draw_drop(cfg, d),
+            lambda cfg, d: calls.append(("draw", d)) or draw_drop(cfg, d),
         )
         monkeypatch.setattr(
             "cfisac.harness.run_drop",
-            lambda cfg, d, drawn=None: calls.append(("run_drop", d)) or run_drop(cfg, d, drawn),
+            lambda cfg, d, drawn=None: calls.append((cfg.mode, d)) or run_drop(cfg, d, drawn),
         )
+        return calls
+
+    def test_equal_arms_run_once(self, calls):
+        cfg = ExperimentConfig(**TINY)
+        arms = run_arms({"a": cfg, "b": cfg.replace(), "tc": cfg.replace(mode="TC")})
+        drops = range(cfg.n_drops)
+        assert calls == [c for d in drops for c in (("draw", d), ("UTC", d), ("TC", d))]
+        self._assert_bitwise_equal(arms["a"], arms["b"])
+        assert (arms["a"].label, arms["b"].label) == ("a", "b")
+        # one distinct config under two labels draws inside run_drop, once per drop
+        calls.clear()
+        run_arms({"a": cfg, "b": cfg.replace()})
+        assert calls == [c for d in drops for c in (("UTC", d), ("draw", d))]
+
+    def test_rx_sweep_rejects_degenerate_counts(self):
         cfg = ExperimentConfig(**TINY)
         with pytest.raises(ConfigError):
-            preset_rx_sweep(cfg, [1, 5])  # rx=5 leaves no transmit AP
+            run_arms(preset_rx_sweep(cfg, [0]))
         with pytest.raises(ConfigError):
-            preset_beamformer_comparison(cfg, [1, 4])  # N - 1 = 3
+            run_arms(preset_rx_sweep(cfg, [5]))  # cluster size 5 leaves no transmit AP
+
+    def test_presets_reject_a_bad_arm_before_the_first_drop(self, calls):
+        cfg = ExperimentConfig(**TINY)
+        with pytest.raises(ConfigError):
+            run_arms(preset_rx_sweep(cfg, [1, 5]))  # rx=5 leaves no transmit AP
+        with pytest.raises(ConfigError):
+            run_arms(preset_beamformer_comparison(cfg, [1, 4]))  # N - 1 = 3
+        # a union table: the bad arm comes last, after every good one
+        with pytest.raises(ConfigError):
+            run_arms(
+                {
+                    **preset_mode_comparison(cfg),
+                    **preset_rx_sweep(cfg, [1, 2]),
+                    **preset_beamformer_comparison(cfg, [1, 4]),
+                }
+            )
+        with pytest.raises(ConfigError, match="no arms"):
+            run_arms({})
+        # arms that do not share one draw
+        with pytest.raises(ConfigError, match="'b' does not share the table's draw: seed"):
+            run_arms({"a": cfg, "b": cfg.replace(seed=6, mode="TC")})
+        with pytest.raises(ConfigError, match="n_drops differs"):
+            run_arms({"a": cfg, "b": cfg.replace(n_drops=1)})
         assert calls == []
+
+    def test_draw_inputs_are_what_draw_drop_reads(self):
+        # the runner checks that a table's arms agree on every value the shared
+        # draw reads; that list must be exactly what draw_drop reads
+        read = set()
+
+        class Spy:
+            def __init__(self, cfg):
+                self.cfg = cfg
+
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(self.cfg, name)
+
+        for changes in ({}, {"shadowing_enabled": False}, {"bandwidth_matched_cells": True}):
+            draw_drop(Spy(ExperimentConfig(**{**TINY, **changes})), 0)
+        assert read == set(_DRAW_INPUTS)
 
     def test_beamformer_preset_rejects_large_kzf(self):
         cfg = ExperimentConfig(**TINY)
         with pytest.raises(ConfigError):
-            preset_beamformer_comparison(cfg, [4])  # N - 1 = 3
+            run_arms(preset_beamformer_comparison(cfg, [4]))  # N - 1 = 3
 
     def test_mode_preset_arm_labels(self):
         cfg = ExperimentConfig(**{**TINY, "n_drops": 1, "n_fading": 1})
-        arms = preset_mode_comparison(cfg)
+        arms = run_arms(preset_mode_comparison(cfg))
         assert set(arms) == {"UTC", "UC", "TC", "CF"}
 
 
