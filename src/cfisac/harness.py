@@ -8,6 +8,9 @@ reductions run through :mod:`cfisac.kernels`.
 Random streams are derived from (seed, drop, purpose) tuples, so
 drops are order-independent and experiment arms that share a seed see
 identical layouts, shadowing and fading draws (common random numbers).
+The fading stream is keyed by (seed, drop, purpose, realization): each
+realization is drawn alone, on every core the process may use (``taskset``
+limits them), and the thread count never changes a byte.
 ``draw_drop`` is that shared draw and ``run_drop`` evaluates one arm on it.
 A preset is a table of arms (label -> config), and ``run_arms`` runs any
 table: it draws each drop once and runs each distinct config once on it.
@@ -16,6 +19,7 @@ table: it draws each drop once and runs each distinct config once on it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -294,12 +298,46 @@ def draw_drop(
     schedule = build_scan_schedule(
         layout.regions, _stream(cfg, drop_index, _S_SCHED), max_epochs=cfg.n_fading
     )
-    h = complex_normal(
-        _stream(cfg, drop_index, _S_FADING), (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
-    )
-    h *= np.sqrt(gains)[:, :, None]
+    h = np.empty((cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
+    _fill_fading(h, cfg.seed, drop_index, np.sqrt(gains)[:, :, None])
     h.flags.writeable = False
     return layout, gains, schedule, h
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_fading(h: np.ndarray, seed: int, drop_index: int, sqrt_g: np.ndarray) -> None:
+    """Fill h (F, K, M, N) with sqrt_g (K, M, 1) times CN(0, 1) draws, realization by realization.
+
+    Realization f draws from its own stream (seed, drop, _S_FADING, f), so its
+    bytes do not depend on how the realizations are split. They are split into
+    contiguous blocks, one per usable core, which a thread pool fills in
+    parallel (numpy's normal fills and ufunc loops release the GIL); with one
+    core the block runs inline. The pool is closed before this returns, so no
+    thread outlives the call and a later fork inherits none.
+    """
+    n_fading = h.shape[0]
+
+    def fill(block: range) -> None:
+        for f in block:
+            rng = np.random.default_rng([seed, drop_index, _S_FADING, f])
+            np.multiply(complex_normal(rng, h.shape[1:]), sqrt_g, out=h[f])
+
+    n_blocks = min(_usable_cores(), n_fading)
+    edges = [n_fading * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if n_blocks == 1:
+        fill(blocks[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n_blocks) as pool:
+        list(pool.map(fill, blocks))
 
 
 def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: tuple | None = None) -> DropResult:

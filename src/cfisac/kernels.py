@@ -3,9 +3,10 @@
 Three reductions over the fading batch: the UE-to-UE cross-gain matrix
 behind the downlink SINR, the sensing-beam leakage term, and the
 accumulation of target echoes at the receive APs. Each is one dense numpy
-contraction. They are not where most of a drop goes: on the traced
-``utc-mf`` benchmark workload the Gaussian fading draw
-(``channel.complex_normal``) takes more than half of each drop.
+contraction. They are not where most of a drop goes: on the ``utc-mf``
+benchmark workload the Gaussian fading draw (``harness._fill_fading``),
+split over both cores of a 2-core host, still takes about half of each
+drop (30–39 of 59–73 ms).
 
 When every AP serves at most N UEs, the first two come instead from per-AP
 beam banks: ``bank_gains`` multiplies each AP's few beams by that AP's

@@ -3,7 +3,7 @@ its measured values (run pytest with -s to stream them).
 
 The campaign-level criteria run the real experiment presets at the baseline
 network scale with 100 drops x 100 fading realizations under common random
-numbers, so this module dominates the suite's runtime (about two minutes on
+numbers, so this module dominates the suite's runtime (about a minute on
 2 cores, BLAS at one thread). Seed 1's three preset tables run as one
 campaign: each drop is drawn once, and the baseline arm that all three
 tables hold runs once.
@@ -34,10 +34,52 @@ from cfisac.metrics import fronthaul_load
 from reference import Dictionary, build_dictionary, glrt_statistic, sensing_snr, svd_basis
 
 BASELINE = ExperimentConfig()  # paper-scale defaults, n_drops=100, n_fading=100
+BOOTSTRAP_RESAMPLES = 400
 
 
 def report(criterion: int, message: str) -> None:
     print(f"PASS criterion {criterion}: {message}", flush=True)
+
+
+def bootstrap_medians(samples: dict, resamples: int = BOOTSTRAP_RESAMPLES) -> dict:
+    """Pooled median of every arm's samples under the same drop resamples.
+
+    ``samples`` maps a label to its (D, ...) per-drop samples. Each resample
+    draws D drops with replacement, the same drops for every arm (paired), and
+    takes the median of the pooled samples of the drawn drops, a drop counted
+    as often as it was drawn: the middle ranks of each arm's sorted samples
+    weighted by their drop's count. The ranks are searched in the middle fifth
+    of the sorted samples, and in all of them when they fall outside it.
+    Returns label -> (resamples,) medians.
+    """
+    n_drops = next(iter(samples.values())).shape[0]
+    counts = np.random.default_rng(0).multinomial(
+        n_drops, np.full(n_drops, 1.0 / n_drops), size=resamples
+    )
+    medians = {}
+    for label, values in samples.items():
+        flat = values.reshape(n_drops, -1)
+        order = np.argsort(flat, axis=None)
+        ordered, drop_of = flat.ravel()[order], order // flat.shape[1]
+        middle = [(flat.size - 1) // 2 + 1, flat.size // 2 + 1]  # 1-based middle ranks
+        lo, hi = flat.size * 2 // 5, flat.size * 3 // 5
+        below = np.bincount(drop_of[:lo], minlength=n_drops)  # each drop's samples before lo
+
+        def median(c):
+            before = below @ c
+            weight = before + np.cumsum(c[drop_of[lo:hi]])
+            if before < middle[0] and middle[1] <= weight[-1]:
+                return ordered[lo:hi][np.searchsorted(weight, middle)].mean()
+            return ordered[np.searchsorted(np.cumsum(c[drop_of]), middle)].mean()
+
+        medians[label] = np.array([median(c) for c in counts])
+    return medians
+
+
+def difference(point: float, boot_a: np.ndarray, boot_b: np.ndarray, scale: float = 1.0) -> str:
+    """A difference of medians with the 95% interval of its bootstrap a - b."""
+    low, high = np.percentile(boot_a - boot_b, [2.5, 97.5]) / scale
+    return f"{point / scale:.2f} [{low:.2f}, {high:.2f}]"
 
 
 @pytest.fixture(scope="module")
@@ -180,12 +222,28 @@ def test_criterion_5_rx_sweep_monotonicity(campaign):
     snrs_lin = [10 ** (campaign[l].median_snr_db() / 10.0) for l in labels]
     assert _nonincreasing_with_one_soft_tie(rates), rates
     assert _nonincreasing_with_one_soft_tie(snrs_lin), snrs_lin
+    # the compared steps with their paired drop-bootstrap intervals, printed only
+    snrs = [campaign[l].median_snr_db() for l in labels]
+    boot_rate = bootstrap_medians({l: campaign[l].rates_bps for l in labels})
+    boot_snr = bootstrap_medians({l: campaign[l].sensing_snr_db for l in labels})
+    steps = list(zip(labels, labels[1:], rates, rates[1:], snrs, snrs[1:]))
     report(
         5,
         "medians nonincreasing in rx count: rates "
         + ", ".join(f"{r / 1e6:.1f}" for r in rates)
         + " Mbps; snr "
-        + ", ".join(f"{campaign[l].median_snr_db():.2f}" for l in labels)
+        + ", ".join(f"{snr:.2f}" for snr in snrs)
+        + f" dB; steps with paired drop-bootstrap 95% intervals ({BOOTSTRAP_RESAMPLES} "
+        + "resamples): rate "
+        + ", ".join(
+            f"{a}-{b} " + difference(ra - rb, boot_rate[a], boot_rate[b], 1e6)
+            for a, b, ra, rb, _, _ in steps
+        )
+        + " Mbps; snr "
+        + ", ".join(
+            f"{a}-{b} " + difference(sa - sb, boot_snr[a], boot_snr[b])
+            for a, b, _, _, sa, sb in steps
+        )
         + " dB",
     )
 
@@ -196,14 +254,28 @@ def test_criterion_6_beamformer_comparison(campaign):
         zf = campaign[f"zf-k{k_zf}"]
         assert zf.median_rate() >= mf.median_rate(), k_zf
         assert zf.median_snr_db() >= mf.median_snr_db() - 1.0, k_zf
+    # ZF minus MF with its paired drop-bootstrap interval, printed only
+    labels = ["mf", "zf-k1", "zf-k2"]
+    boot_rate = bootstrap_medians({l: campaign[l].rates_bps for l in labels})
+    boot_snr = bootstrap_medians({l: campaign[l].sensing_snr_db for l in labels})
+
+    def versus_mf(k):
+        label = f"zf-k{k}"
+        zf = campaign[label]
+        rate = zf.median_rate() - mf.median_rate()
+        snr = zf.median_snr_db() - mf.median_snr_db()
+        return (
+            f"ZF k={k} rate {zf.median_rate() / 1e6:.1f} Mbps "
+            f"(ZF-MF {difference(rate, boot_rate[label], boot_rate['mf'], 1e6)}) "
+            f"/ snr {zf.median_snr_db():.2f} dB "
+            f"(ZF-MF {difference(snr, boot_snr[label], boot_snr['mf'])})"
+        )
+
     report(
         6,
         f"MF rate {mf.median_rate() / 1e6:.1f} Mbps / snr {mf.median_snr_db():.2f} dB; "
-        + "; ".join(
-            f"ZF k={k} rate {campaign[f'zf-k{k}'].median_rate() / 1e6:.1f} Mbps "
-            f"/ snr {campaign[f'zf-k{k}'].median_snr_db():.2f} dB"
-            for k in (1, 2)
-        ),
+        + "; ".join(versus_mf(k) for k in (1, 2))
+        + f"; paired drop-bootstrap 95% intervals, {BOOTSTRAP_RESAMPLES} resamples",
     )
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +124,49 @@ class TestRunDrop:
         h = draw_drop(ExperimentConfig(**TINY), 0)[3]
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0, 0, 0] = 0.0
+
+    def test_fading_is_drawn_realization_by_realization(self):
+        # realization f alone from its stream (seed, drop, purpose, f), scaled by sqrt(gains)
+        cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
+        _, gains, _, h = draw_drop(cfg, 1)
+        shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+        for f in range(cfg.n_fading):
+            rng = np.random.default_rng([cfg.seed, 1, _S_FADING, f])
+            np.testing.assert_array_equal(
+                h[f], complex_normal(rng, shape) * np.sqrt(gains)[:, :, None]
+            )
+
+    @pytest.mark.parametrize("n_fading", [1, 3, 7, 64])
+    def test_fading_bytes_do_not_depend_on_the_core_count(self, n_fading, monkeypatch):
+        # more blocks than cores, and thread switches as often as the interpreter allows
+        cfg = ExperimentConfig(**{**TINY, "n_fading": n_fading})
+        drawn = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 4, 16):
+                monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+                drawn.append(draw_drop(cfg, 0)[3])
+        finally:
+            sys.setswitchinterval(interval)
+        for h in drawn[1:]:
+            np.testing.assert_array_equal(h, drawn[0])
+
+    def test_a_failed_realization_fails_the_draw_and_leaves_no_thread(self, monkeypatch):
+        cfg = ExperimentConfig(**{**TINY, "n_fading": 7})
+        failing = np.random.default_rng([cfg.seed, 0, _S_FADING, 4]).bit_generator.state
+
+        def draw(rng, shape):
+            if rng.bit_generator.state == failing:
+                raise FloatingPointError("realization 4")
+            return complex_normal(rng, shape)
+
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(harness, "complex_normal", draw)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="realization 4"):
+            draw_drop(cfg, 0)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "mode,banked", [("UTC", True), ("UC", True), ("TC", False), ("CF", False)]
@@ -372,8 +417,14 @@ class TestBatchedPipelineMatchesOps:
         geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
         n_fading, k_ues, m_aps, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
 
-        h = np.sqrt(gains)[None, :, :, None] * complex_normal(
-            _stream(cfg, drop, _S_FADING), (n_fading, k_ues, m_aps, n_ant)
+        # realization f's fading comes from its own stream (seed, drop, purpose, f)
+        h = np.sqrt(gains)[None, :, :, None] * np.stack(
+            [
+                complex_normal(
+                    np.random.default_rng([cfg.seed, drop, _S_FADING, f]), (k_ues, m_aps, n_ant)
+                )
+                for f in range(n_fading)
+            ]
         )
         sym = _stream(cfg, drop, _S_SYMBOL)
         x = np.exp(2j * np.pi * sym.random((n_fading, k_ues)))
