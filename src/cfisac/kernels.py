@@ -3,17 +3,15 @@
 Three reductions over the fading batch: the UE-to-UE cross-gain matrix
 behind the downlink SINR, the sensing-beam leakage term, and the
 accumulation of target echoes at the receive APs. Each is one dense numpy
-contraction. They are not where most of a drop goes: on the ``utc-mf``
-benchmark workload the Gaussian fading draw (``harness._fill_fading``),
-split over both cores of a 2-core host, still takes about half of each
-drop (30–39 of 59–73 ms).
+contraction. The first two serve the dense downlink path (TC/CF when some
+AP serves more than N UEs).
 
-When every AP serves at most N UEs, the first two come instead from per-AP
-beam banks: ``bank_gains`` multiplies each AP's few beams by that AP's
-channels, and ``bank_signals`` sums them with their symbols into the
-transmit signals. A bank is three arrays: ``rows`` (F, L, N) holds the
-conjugated beams, ``aps`` (L,) the AP of each row in ascending order, and
-``columns`` (L,) the output column, or symbol, of each row.
+The bank path (UC/UTC) draws each AP's unserved links in law through the
+lower Cholesky factor of its bank's Gram, ``cholesky_lower``. On the
+``utc-mf`` benchmark workload (2 cores, BLAS at one thread) that law draw
+takes 11-13 ms of a 38-43 ms drop, where the dense draw took 28-29 of 49 ms,
+and the bank path's gain step (Cholesky factors and small batched matmuls)
+13-14 ms (``BENCH_18.json``).
 """
 
 from __future__ import annotations
@@ -51,44 +49,32 @@ def sense_leakage(h: np.ndarray, w0_amp: np.ndarray) -> np.ndarray:
     return (np.abs(g[..., 0]) ** 2).sum(axis=1)
 
 
-def _ap_segments(aps: np.ndarray) -> np.ndarray:
-    """Start of each AP's run of rows in an ascending row-to-AP map."""
-    return np.flatnonzero(np.diff(aps, prepend=-1))
+# a Cholesky pivot at most this times its diagonal entry counts as zero
+PIVOT_TOL = 1e-12
 
 
-def bank_gains(
-    h: np.ndarray, rows: np.ndarray, aps: np.ndarray, columns: np.ndarray, n_columns: int
-) -> np.ndarray:
-    """Every bank row's gain toward every UE, summed into the row's column.
+def cholesky_lower(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L (..., b, b) of a stack of Hermitian PSD Grams.
 
-    g[c, f, k] = sum over rows i with columns[i] == c of
-    h[f, k, aps[i], :] . rows[f, i, :], one batched matmul per AP. With rows
-    the conjugated beams, g[j, f, k] is conj(a[f, k, j]) of ``cross_gains``
-    for a UE column j, and |g[c, f, k]|^2 the leakage of a sensing beam
-    that has a column of its own.
+    The factor is computed column by column, so row i of L reads rows 0..i
+    of the Gram only. A zero pivot (a row in the span of the rows before
+    it) gets a zero column, so a singular Gram gives a factor without NaN,
+    and L L^H is still the Gram.
     """
-    n_fading, n_ues = h.shape[:2]
-    g = np.zeros((n_columns, n_fading, n_ues), dtype=complex)
-    starts = _ap_segments(aps)
-    for lo, hi in zip(starts, [*starts[1:], len(aps)]):
-        gains = rows[:, lo:hi] @ h[:, :, aps[lo], :].transpose(0, 2, 1)
-        g[columns[lo:hi]] += gains.transpose(1, 0, 2)
-    return g
-
-
-def bank_signals(
-    rows: np.ndarray, aps: np.ndarray, columns: np.ndarray, symbols: np.ndarray, n_aps: int
-) -> np.ndarray:
-    """Transmit signal of every AP from its bank rows and their symbols.
-
-    s[f, m, :] = sum over rows i of AP m of conj(rows[f, i, :]) *
-    symbols[f, columns[i]], zero for an AP without rows.
-    """
-    s = np.zeros((rows.shape[0], n_aps, rows.shape[2]), dtype=complex)
-    terms = rows * symbols[:, columns].conj()[:, :, None]
-    starts = _ap_segments(aps)
-    s[:, aps[starts]] = np.add.reduceat(terms, starts, axis=1).conj()
-    return s
+    n_rows = gram.shape[-1]
+    lower = np.zeros_like(gram)
+    for j in range(n_rows):
+        row = lower[..., j, :j]
+        diag = gram[..., j, j].real
+        pivot = diag - (row.real**2 + row.imag**2).sum(axis=-1)
+        kept = pivot > PIVOT_TOL * diag
+        root = np.sqrt(np.where(kept, pivot, 0.0))
+        lower[..., j, j] = root
+        if j + 1 < n_rows:
+            col = gram[..., j + 1 :, j] - (lower[..., j + 1 :, :j] * row.conj()[..., None, :]).sum(-1)
+            inv = np.divide(1.0, root, out=np.zeros(root.shape), where=kept)
+            lower[..., j + 1 :, j] = col * inv[..., None]
+    return lower
 
 
 def echo_mix(a_rx: np.ndarray, ab: np.ndarray, c: np.ndarray) -> np.ndarray:

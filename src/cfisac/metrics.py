@@ -75,6 +75,7 @@ class DropDiagnostics:
     zf_leakage_max: float = 0.0
     zf_fallbacks: int = 0
     zf_beams: int = 0
+    rank0_tests: int = 0  # tests whose cluster's transmit APs send nothing: SNR NaN
 
     def merge(self, other: "DropDiagnostics") -> "DropDiagnostics":
         return DropDiagnostics(
@@ -82,6 +83,7 @@ class DropDiagnostics:
             zf_leakage_max=max(self.zf_leakage_max, other.zf_leakage_max),
             zf_fallbacks=self.zf_fallbacks + other.zf_fallbacks,
             zf_beams=self.zf_beams + other.zf_beams,
+            rank0_tests=self.rank0_tests + other.rank0_tests,
         )
 
 
@@ -123,7 +125,9 @@ class ResultSet:
         return float(np.median(self.rates_bps))
 
     def median_snr_db(self) -> float:
-        return float(np.median(self.sensing_snr_db))
+        """Median over the tests with an SNR: a rank-0 test's is NaN and left out."""
+        snr = self.sensing_snr_db[~np.isnan(self.sensing_snr_db)]
+        return float(np.median(snr)) if snr.size else float("nan")
 
     def sample_rows(self) -> Iterable[tuple[int, int, str, float]]:
         """Flatten to (drop, entity, metric, value) rows in a fixed order."""
@@ -192,9 +196,9 @@ def write_cdf_csv(path: str | Path, curve: CdfCurve) -> None:
 def _write_arm(out_dir: Path, rs: ResultSet) -> None:
     write_samples_csv(out_dir / f"{rs.label}_samples.csv", rs.sample_rows())
     write_cdf_csv(out_dir / f"{rs.label}_cdf_rate_bps.csv", empirical_cdf(rs.rates_bps.ravel()))
-    write_cdf_csv(
-        out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", empirical_cdf(rs.sensing_snr_db.ravel())
-    )
+    snr = rs.sensing_snr_db[~np.isnan(rs.sensing_snr_db)]  # rank-0 tests have no SNR
+    snr_cdf = empirical_cdf(snr) if snr.size else CdfCurve(np.empty(0), np.empty(0))
+    write_cdf_csv(out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", snr_cdf)
     with open(out_dir / f"{rs.label}_detections.txt", "w") as fh:
         fh.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
         columns = zip(

@@ -4,7 +4,7 @@ its measured values (run pytest with -s to stream them).
 The campaign-level criteria run the real experiment presets at the baseline
 network scale with 100 drops x 100 fading realizations under common random
 numbers, so this module dominates the suite's runtime (about a minute on
-2 cores, BLAS at one thread). Seed 1's three preset tables run as one
+2 cores, BLAS at one thread, which ``conftest.py`` pins). Seed 1's three preset tables run as one
 campaign: each drop is drawn once, and the baseline arm that all three
 tables hold runs once.
 """
@@ -197,13 +197,25 @@ def test_criterion_4_mode_ordering(mode_runs):
             and snr["UC"] >= snr["TC"]
         )
         seeds_ok += int(ok)
+        # the compared differences with their paired drop-bootstrap intervals, printed only
+        boot_rate = bootstrap_medians({m: arms[m].rates_bps for m in ("UTC", "CF")})
+        boot_snr = bootstrap_medians({m: arms[m].sensing_snr_db for m in VALID_MODES})
         details.append(
-            f"seed {seed}: rate UTC {rate['UTC'] / 1e6:.1f} vs CF {rate['CF'] / 1e6:.1f} Mbps, "
-            f"snr UTC {snr['UTC']:.2f} vs CF {snr['CF']:.2f} dB, "
-            f"UC {snr['UC']:.2f} vs TC {snr['TC']:.2f} dB -> {'ok' if ok else 'FAIL'}"
+            f"seed {seed}: rate UTC {rate['UTC'] / 1e6:.1f} vs CF {rate['CF'] / 1e6:.1f} Mbps "
+            f"(UTC-CF {difference(rate['UTC'] - rate['CF'], boot_rate['UTC'], boot_rate['CF'], 1e6)}), "
+            f"snr UTC {snr['UTC']:.2f} vs CF {snr['CF']:.2f} dB "
+            f"(UTC-CF {difference(snr['UTC'] - snr['CF'], boot_snr['UTC'], boot_snr['CF'])}), "
+            f"UC {snr['UC']:.2f} vs TC {snr['TC']:.2f} dB "
+            f"(UC-TC {difference(snr['UC'] - snr['TC'], boot_snr['UC'], boot_snr['TC'])}) "
+            f"-> {'ok' if ok else 'FAIL'}"
         )
     assert seeds_ok >= 2, "\n".join(details)
-    report(4, f"mode orderings hold on {seeds_ok}/3 seeds; " + "; ".join(details))
+    report(
+        4,
+        f"mode orderings hold on {seeds_ok}/3 seeds; "
+        + "; ".join(details)
+        + f"; paired drop-bootstrap 95% intervals, {BOOTSTRAP_RESAMPLES} resamples",
+    )
 
 
 def _nonincreasing_with_one_soft_tie(values, tolerance=0.02):

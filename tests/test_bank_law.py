@@ -1,0 +1,208 @@
+"""The user-centric downlink drawn in law: served links in full, every other
+link through its AP's bank factor, from one prefix-shared stream per
+realization."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from scipy.stats import ks_2samp
+
+from cfisac import harness
+from cfisac.channel import complex_normal
+from cfisac.clustering import build_assignment
+from cfisac.config import ExperimentConfig
+from cfisac.harness import (
+    _law_gains,
+    draw_drop,
+    preset_mode_comparison,
+    preset_rx_sweep,
+    run_arms,
+    run_drop,
+    run_experiment,
+)
+from cfisac.metrics import write_results
+
+SMALL = dict(
+    m_aps=10,
+    k_ues=3,
+    t_targets=2,
+    l_regions=1,
+    n_antennas=4,
+    q_serving=2,
+    m_tx_per_region=3,
+    m_rx_per_region=2,
+    cell_extent_m=500.0,
+    n_drops=2,
+    n_fading=3,
+    seed=5,
+)
+
+
+def _spy(monkeypatch, owner, name):
+    """Record every result of owner.name, in call order."""
+    results = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return results
+
+
+def test_unserved_gain_covariance_at_fixed_bank():
+    # one bank D U of b = 3 rows on N = 8 antennas, its sensing row last, and
+    # 1e5 unserved links drawn from the law stream: E[g g^H] = g_km D U U^H D
+    rng = np.random.default_rng(3)
+    b, n_ant, n_links, g_km = 3, 8, 100_000, 2.5e-9
+    unit = complex_normal(rng, (b, n_ant))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    amp = np.array([0.7, 0.7, 1.3])[:, None]
+    normals = draw_drop(ExperimentConfig(n_fading=25), 0).normals(b * n_links // 25)
+    w = np.sqrt(g_km) * normals.reshape(n_links, b).T  # an AP's links, b normals each
+    gains, gram = _law_gains(unit, amp, w)
+    cov = gains @ gains.conj().T / n_links
+    bank = amp * unit
+    expected = g_km * bank @ bank.conj().T
+    np.testing.assert_allclose(gram, unit @ unit.conj().T, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(cov, expected, rtol=0, atol=0.02 * np.abs(expected).max())
+
+
+def test_law_rates_match_dense_rates_in_distribution():
+    # the same layout and banks, 2000 realizations: rates from the law stream
+    # against rates from the full fading tensor (the dense path's draw)
+    cfg = ExperimentConfig(**{**SMALL, "n_fading": 2000})
+    law = run_drop(cfg, 0).rates_bps.ravel()
+    drawn = draw_drop(cfg, 0)
+    drawn.oracle_h = drawn.fading()
+    dense = run_drop(cfg, 0, drawn).rates_bps.ravel()
+    assert not np.array_equal(law, dense)
+    assert ks_2samp(law, dense).pvalue > 0.01
+
+
+def test_mf_and_zf_share_every_ue_beam_gain(monkeypatch):
+    # the sensing row comes last in every bank, so changing the sensing beam
+    # leaves every UE-beam gain, and so the cross-gain powers, bitwise alike
+    outputs = _spy(monkeypatch, harness, "_bank_downlink")
+    cfg = ExperimentConfig(**{**SMALL, "n_fading": 6})
+    drawn = draw_drop(cfg, 0)
+    run_drop(cfg, 0, drawn)
+    run_drop(cfg.replace(beamformer="ZF", k_zf=1), 0, drawn)
+    (power_mf, leak_mf, _), (power_zf, leak_zf, _) = outputs
+    assert np.array_equal(power_mf.view(np.uint8), power_zf.view(np.uint8))
+    assert not np.allclose(leak_mf, leak_zf, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("mode,count", [("UTC", 5368), ("UC", 6334)])
+def test_law_normals_per_realization(mode, count, monkeypatch):
+    # baseline, seed 1, drop 1: N normals per served link, min(b_m, N) per
+    # unserved link of an AP with a bank, against K M N = 16384 dense
+    requests = []
+    original = harness.Draw.normals
+
+    def normals(self, n):
+        requests.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(harness.Draw, "normals", normals)
+    run_drop(ExperimentConfig(mode=mode, seed=1, n_fading=2), 1)
+    assert requests == [count]
+
+
+def test_a_longer_request_extends_the_same_stream(monkeypatch):
+    # a table's arms read prefixes of one stream per realization, whatever
+    # the order of their requests and the number of cores
+    cfg = ExperimentConfig(**{**SMALL, "n_fading": 5})
+    grown = draw_drop(cfg, 0)
+    short = grown.normals(7).copy()
+    longer = grown.normals(50)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+    once = draw_drop(cfg, 0).normals(50)
+    np.testing.assert_array_equal(longer[:, :7], short)
+    np.testing.assert_array_equal(longer, once)
+    for f in range(cfg.n_fading):
+        rng = np.random.default_rng([cfg.seed, 0, harness._S_BANK, f])
+        expected = (rng.standard_normal(100) * (1.0 / np.sqrt(2.0))).view(complex)
+        np.testing.assert_array_equal(once[f], expected)
+
+
+def test_bank_tables_never_draw_the_dense_tensor(monkeypatch):
+    fading = _spy(monkeypatch, harness.Draw, "fading")
+    cfg = ExperimentConfig(**SMALL)
+    run_arms(preset_rx_sweep(cfg, [1, 2]))
+    assert fading == []
+    run_arms(preset_mode_comparison(cfg.replace(k_ues=6)))  # K > N: TC and CF are dense
+    assert len(fading) == 2 * cfg.n_drops  # drawn once per drop, read by both dense arms
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_zero_power_rows_give_finite_outputs(fraction):
+    # all sensing power or none: the banks keep their unit rows with a zero
+    # amplitude, so no Gram is singular and nothing is NaN
+    cfg = ExperimentConfig(**{**SMALL, "sensing_power_fraction": fraction, "n_fading": 8})
+    with np.errstate(all="raise"):
+        dr = run_drop(cfg, 0)
+    assert np.isfinite(dr.rates_bps).all() and dr.rates_bps.any()
+    assert np.isfinite(dr.statistics).all() and np.isfinite(dr.sensing_snr_db).all()
+
+
+# sha256 over the result arrays of seed 1's TC and CF arms (3 drops, 4
+# realizations), recorded before the bank path was drawn in law
+DENSE_DIGESTS = {
+    "TC": "48aa36e82b148f160a00b4dba97d95968ff81c0f0aad680b9b72b4f9ff759723",
+    "CF": "6f5e06c82e1492d3bbf1b193d0d292310d6fb605150d4e4f6d75dfe0b2e62035",
+}
+
+
+def _digest(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def test_dense_arms_keep_their_bytes():
+    arms = run_arms(preset_mode_comparison(ExperimentConfig(seed=1, n_drops=3, n_fading=4)))
+    fields = ("rates_bps", "sensing_snr_db", "statistics", "thresholds", "decisions", "truths")
+    for mode, expected in DENSE_DIGESTS.items():
+        assert _digest(*(getattr(arms[mode], name) for name in fields)) == expected, mode
+
+
+def test_target_free_decisions_keep_their_bytes():
+    # criterion 2's arm (a bank arm without targets): its statistics read only
+    # the noise and which tests are live, so drops 0-2 keep the decisions,
+    # statistics and thresholds recorded before the law path
+    cfg = ExperimentConfig(t_targets=0, k_ues=4, n_drops=100, n_fading=250, seed=11)
+    drops = [run_drop(cfg, d) for d in range(3)]
+    got = _digest(*(a for dr in drops for a in (dr.decisions, dr.statistics, dr.thresholds)))
+    assert got == "67166a3072ab4085612a72d92ffb4025d7a7854851d8d0aa0f26266373a23772"
+
+
+def test_rank0_tests_have_no_snr(monkeypatch, tmp_path):
+    # region 0's transmit APs send nothing: its tests have rank 0, no
+    # statistic and a NaN SNR, which the diagnostics count and the medians skip
+    cfg = ExperimentConfig(**{**SMALL, "m_aps": 16, "l_regions": 2, "n_drops": 1})
+    drawn = draw_drop(cfg, 0)
+    silent = build_assignment(drawn.layout, drawn.gains, cfg).sensing_clusters[0][0]
+    allocate = harness.allocate_power
+
+    def quiet(*args, **kwargs):
+        per_ue, eta0 = (np.array(v, dtype=float) for v in allocate(*args, **kwargs))
+        per_ue[silent] = eta0[silent] = 0.0
+        return per_ue, eta0
+
+    monkeypatch.setattr(harness, "allocate_power", quiet)
+    dr = run_drop(cfg, 0, drawn)
+    dead = np.isnan(dr.sensing_snr_db)
+    assert dead[:, 0].all() and not dead[:, 1].any()
+    assert dr.diagnostics.rank0_tests == cfg.n_fading
+    assert (dr.statistics[:, 0] == 0).all() and not dr.decisions[:, 0].any()
+
+    rs = run_experiment(cfg)
+    assert rs.diagnostics.rank0_tests == cfg.n_fading
+    assert rs.median_snr_db() == np.median(rs.sensing_snr_db[:, :, 1])
+    write_results(tmp_path, {"run": rs}, cfg)
+    rows = (tmp_path / "run_cdf_sensing_snr_db.csv").read_text().splitlines()
+    assert len(rows) == 1 + cfg.n_fading and "nan" not in "".join(rows)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from cfisac import harness, kernels
+from cfisac import harness
 from cfisac.channel import (
     ArrayGeometry,
     complex_normal,
@@ -121,19 +121,23 @@ class TestRunDrop:
         np.testing.assert_array_equal(layouts["UTC"][2], layouts["CF"][2])
 
     def test_drawn_fading_is_read_only(self):
-        h = draw_drop(ExperimentConfig(**TINY), 0)[3]
+        drawn = draw_drop(ExperimentConfig(**TINY), 0)
+        h, normals = drawn.fading(), drawn.normals(5)
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            normals[0, 0] = 0.0
 
     def test_fading_is_drawn_realization_by_realization(self):
         # realization f alone from its stream (seed, drop, purpose, f), scaled by sqrt(gains)
         cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
-        _, gains, _, h = draw_drop(cfg, 1)
+        drawn = draw_drop(cfg, 1)
+        h = drawn.fading()
         shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
         for f in range(cfg.n_fading):
             rng = np.random.default_rng([cfg.seed, 1, _S_FADING, f])
             np.testing.assert_array_equal(
-                h[f], complex_normal(rng, shape) * np.sqrt(gains)[:, :, None]
+                h[f], complex_normal(rng, shape) * np.sqrt(drawn.gains)[:, :, None]
             )
 
     @pytest.mark.parametrize("n_fading", [1, 3, 7, 64])
@@ -146,11 +150,13 @@ class TestRunDrop:
         try:
             for cores in (1, 4, 16):
                 monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-                drawn.append(draw_drop(cfg, 0)[3])
+                draw = draw_drop(cfg, 0)
+                drawn.append((draw.fading(), draw.normals(9), draw.normals(40)))
         finally:
             sys.setswitchinterval(interval)
-        for h in drawn[1:]:
-            np.testing.assert_array_equal(h, drawn[0])
+        for arrays in drawn[1:]:
+            for got, expected in zip(arrays, drawn[0]):
+                np.testing.assert_array_equal(got, expected)
 
     def test_a_failed_realization_fails_the_draw_and_leaves_no_thread(self, monkeypatch):
         cfg = ExperimentConfig(**{**TINY, "n_fading": 7})
@@ -165,7 +171,7 @@ class TestRunDrop:
         monkeypatch.setattr(harness, "complex_normal", draw)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="realization 4"):
-            draw_drop(cfg, 0)
+            draw_drop(cfg, 0).fading()
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
@@ -183,13 +189,16 @@ class TestRunDrop:
             return wrapper
 
         for module, name in (
-            (kernels, "bank_gains"),
-            (kernels, "cross_gains"),
-            (harness, "_mf_beams"),
+            (harness, "_bank_downlink"),
+            (harness, "_dense_downlink"),
+            (harness.Draw, "fading"),
+            (harness.Draw, "normals"),
         ):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         run_drop(ExperimentConfig(mode=mode, n_fading=2), 0)
-        assert calls == ["_mf_beams", "bank_gains" if banked else "cross_gains"]
+        # a bank arm reads its law stream and never draws the dense tensor
+        expected = ["normals", "_bank_downlink"] if banked else ["fading", "_dense_downlink"]
+        assert calls == expected
 
     def test_decision_consistent_with_threshold(self):
         dr = run_drop(ExperimentConfig(**TINY), 0)
@@ -396,7 +405,9 @@ class TestBatchedPipelineMatchesOps:
     )
     def test_single_realization_equivalence(self, mode, beamformer, k_zf):
         # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense
-        # beams; every region of two is checked
+        # beams; every region of two is checked. The bank arms derive their law
+        # draws from this full tensor (w = L^-1 U h / sqrt(g)), so both paths must
+        # reproduce the oracle on the same channels
         cfg = ExperimentConfig(
             **{
                 **TINY,
@@ -408,8 +419,6 @@ class TestBatchedPipelineMatchesOps:
             }
         )
         drop = 0
-        dr = run_drop(cfg, drop)
-
         layout = generate_layout(cfg, _stream(cfg, drop, _S_LAYOUT))
         gains = ue_ap_gains(layout, cfg, _stream(cfg, drop, _S_SHADOW))
         assignment = build_assignment(layout, gains, cfg)
@@ -426,6 +435,9 @@ class TestBatchedPipelineMatchesOps:
                 for f in range(n_fading)
             ]
         )
+        drawn = draw_drop(cfg, drop)
+        drawn.oracle_h = h
+        dr = run_drop(cfg, drop, drawn)
         sym = _stream(cfg, drop, _S_SYMBOL)
         x = np.exp(2j * np.pi * sym.random((n_fading, k_ues)))
         x0 = np.exp(2j * np.pi * sym.random((n_fading, m_aps)))
@@ -534,23 +546,24 @@ class TestBatchedPipelineMatchesOps:
 
 
 def _drop_context(cfg, drop=0, layout=None, all_cells=False):
-    """The engine's per-drop context and read-only fading tensor, from draw_drop.
+    """The engine's per-drop context and read-only dense fading tensor, from draw_drop.
 
     A given ``layout`` replaces the drawn one; it keeps the drawn APs and UEs,
     so the drawn gains, schedule and fading still belong to it. With
     ``all_cells`` the schedule is the whole sweep, so the context's cell
     tables cover every cell and its cell ids are the global ones.
     """
-    drawn, gains, schedule, h = draw_drop(cfg, drop)
+    drawn = draw_drop(cfg, drop)
     if layout is None:
-        layout = drawn
+        layout = drawn.layout
     else:
-        np.testing.assert_array_equal(layout.aps, drawn.aps)
-        np.testing.assert_array_equal(layout.ues, drawn.ues)
+        np.testing.assert_array_equal(layout.aps, drawn.layout.aps)
+        np.testing.assert_array_equal(layout.ues, drawn.layout.ues)
+    schedule = drawn.schedule
     if all_cells:
         schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
-    assignment = build_assignment(layout, gains, cfg)
-    return _DropContext(cfg, layout, assignment, schedule, gains), h
+    assignment = build_assignment(layout, drawn.gains, cfg)
+    return _DropContext(cfg, layout, assignment, schedule, drawn.gains), drawn.fading()
 
 
 def _truth_loop(layout):
@@ -659,7 +672,8 @@ class TestBeams:
                 cell = epoch_cells[f, ctx.assignment.pointing[m]]
                 h[f, ctx.annul[m][0], m] = ctx.a_cell[cell, m]
 
-        w0, diag = _sense_beams(ctx, h, epoch_cells)
+        f, k, m, n = h.shape
+        w0, diag = _sense_beams(ctx, h.reshape(f, k * m, n), np.arange(k * m).reshape(k, m), epoch_cells)
 
         n_ant = cfg.n_antennas
         assert diag.zf_beams == cfg.n_fading * len(zf_aps)

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cfisac import kernels
 from cfisac.channel import complex_normal
-from cfisac.harness import _beam_bank, _mf_beams
+from cfisac.harness import _bank_downlink, _mf_beams
 
 
 def random_problem(rng, n_fading=3, n_ues=5, n_aps=7, n_ant=4, q=2):
@@ -79,40 +81,90 @@ class TestDispatch:
         np.testing.assert_array_equal(out, np.zeros((1, 3, 2, 4)))
 
 
+class TestCholesky:
+    """The bank factor: L L^H is the Gram, and row i reads rows 0..i only."""
+
+    @staticmethod
+    def grams(rng, shape, n_rows, n_ant=8):
+        rows = complex_normal(rng, (*shape, n_rows, n_ant))
+        return rows, rows @ rows.conj().swapaxes(-1, -2)
+
+    def test_matches_lapack_on_full_rank_grams(self):
+        _, gram = self.grams(np.random.default_rng(0), (5, 3), 4)
+        lower = kernels.cholesky_lower(gram)
+        np.testing.assert_allclose(lower, np.linalg.cholesky(gram), rtol=1e-12, atol=1e-12)
+
+    def test_rows_do_not_read_later_rows(self):
+        # the sensing row comes last: changing it leaves every other row's bits
+        rng = np.random.default_rng(1)
+        rows, gram = self.grams(rng, (6,), 5)
+        rows[:, -1] = complex_normal(rng, (6, 8))
+        other = rows @ rows.conj().swapaxes(-1, -2)
+        a, b = kernels.cholesky_lower(gram), kernels.cholesky_lower(other)
+        assert np.array_equal(a[:, :-1].view(np.float64), b[:, :-1].view(np.float64))
+        assert not np.array_equal(a[:, -1], b[:, -1])
+
+    def test_singular_grams_give_a_factor_without_nan(self):
+        # a zero row and a row in the span of the rows before it
+        rng = np.random.default_rng(2)
+        rows = complex_normal(rng, (4, 5, 8))
+        rows[:, 1] = 0.0
+        rows[:, 3] = 2.0 * rows[:, 0] - 1j * rows[:, 2]
+        gram = rows @ rows.conj().swapaxes(-1, -2)
+        with np.errstate(all="raise"):
+            lower = kernels.cholesky_lower(gram)
+        assert np.isfinite(lower).all()
+        np.testing.assert_allclose(np.abs(lower[:, [1, 3], [1, 3]]), 0.0, atol=1e-6)
+        scale = np.abs(gram).max()
+        np.testing.assert_allclose(
+            lower @ lower.conj().swapaxes(-1, -2), gram, rtol=0, atol=1e-12 * scale
+        )
+
+
 class TestBeamBank:
     """The per-AP bank path against the dense beams it replaces."""
 
     def test_bank_matches_dense_path(self):
+        # derived from a full tensor, the bank path gives the dense kernels'
+        # cross gains, leakage and transmit signals: AP 2 only senses, AP 3 is
+        # idle, AP 1 serves and does not sense, and AP 4's bank has b = N + 1
         rng = np.random.default_rng(8)
         n_fading, n_ues, n_aps, n_ant = 4, 7, 6, 3
-        h = complex_normal(rng, (n_fading, n_ues, n_aps, n_ant))
-        amp = rng.uniform(0.5, 2.0, (n_ues, n_aps)) * (rng.random((n_ues, n_aps)) < 0.5)
-        amp[:, [2, 3]] = 0.0  # AP 2 only senses, AP 3 is idle
-        amp[0, 1] = 1.0  # AP 1 serves and does not sense
-        sensing = np.array([0, 2, 4])
-        w0_amp = np.zeros((n_fading, n_aps, n_ant), dtype=complex)
-        w0_amp[:, sensing] = complex_normal(rng, (n_fading, len(sensing), n_ant))
+        serving = [np.array(aps) for aps in ([0, 1], [4], [1, 5], [4, 0], [5], [4, 1], [0])]
+        served = [np.array([k for k, aps in enumerate(serving) if m in aps]) for m in range(n_aps)]
+        pointing = np.array([0, -1, 0, -1, 0, -1])
+        gains = rng.uniform(0.5, 2.0, (n_ues, n_aps))
+        h = complex_normal(rng, (n_fading, n_ues, n_aps, n_ant)) * np.sqrt(gains)[..., None]
+        ue_amp = rng.uniform(0.5, 2.0, n_aps)
+        sqrt_eta0 = np.where(pointing >= 0, rng.uniform(0.5, 2.0, n_aps), 0.0)
+        amp = np.zeros((n_ues, n_aps))
+        for k, aps in enumerate(serving):
+            amp[k, aps] = ue_amp[aps]
+        ctx = SimpleNamespace(
+            amp=amp,
+            ue_amp=ue_amp,
+            sqrt_eta0=sqrt_eta0,
+            gains=gains,
+            assignment=SimpleNamespace(serving=serving, served=served, pointing=pointing),
+        )
+        w0 = np.zeros((n_fading, n_aps, n_ant), dtype=complex)
+        w0[:, pointing >= 0] = complex_normal(rng, (n_fading, 3, n_ant))
+        w0 /= np.maximum(np.linalg.norm(w0, axis=2, keepdims=True), 1e-300)
+        ues = np.repeat(np.arange(n_ues), [len(aps) for aps in serving])
+        h_links = h[:, ues, np.concatenate(serving)]
 
+        power, leak, transmit = _bank_downlink(ctx, h_links, w0, None, oracle_h=h)
+
+        w0_amp = sqrt_eta0[None, :, None] * w0
         w_conj = _mf_beams(h, amp)
-        rows, aps, columns = _beam_bank(h, amp, w0_amp, sensing)
-        comm = columns < n_ues
-        assert np.all(np.diff(aps) >= 0) and 3 not in aps
-        np.testing.assert_array_equal(rows[:, comm], w_conj[:, columns[comm], aps[comm]])
-        np.testing.assert_array_equal(rows[:, ~comm], w0_amp[:, aps[~comm]].conj())
-
-        g = kernels.bank_gains(h, rows, aps, columns, n_ues + len(sensing))
-        a = kernels.cross_gains(h, w_conj)
         np.testing.assert_allclose(
-            np.abs(g[:n_ues].transpose(1, 2, 0)) ** 2, np.abs(a) ** 2, rtol=1e-12
+            power, np.abs(kernels.cross_gains(h, w_conj)) ** 2, rtol=1e-12
         )
-        np.testing.assert_allclose(
-            (np.abs(g[n_ues:]) ** 2).sum(axis=0), kernels.sense_leakage(h, w0_amp), rtol=1e-12
-        )
+        np.testing.assert_allclose(leak, kernels.sense_leakage(h, w0_amp), rtol=1e-12)
 
         x = np.exp(2j * np.pi * rng.random((n_fading, n_ues)))
         x0 = np.exp(2j * np.pi * rng.random((n_fading, n_aps)))
-        symbols = np.concatenate([x, x0[:, sensing]], axis=1)
-        s_tx = kernels.bank_signals(rows, aps, columns, symbols, n_aps)
+        s_tx = transmit(x, x0)
         expected = np.einsum("fkmn,fk->fmn", w_conj.conj(), x) + w0_amp * x0[:, :, None]
         np.testing.assert_allclose(s_tx, expected, rtol=1e-12)
         assert not s_tx[:, 3].any()

@@ -89,7 +89,8 @@ def test_validated_config_clusters_every_drop(cfg):
     except ConfigError:
         return
     for drop in (0, 1):
-        layout, gains, _, _ = draw_drop(cfg, drop)
+        drawn = draw_drop(cfg, drop)
+        layout, gains = drawn.layout, drawn.gains
         assignment = build_assignment(layout, gains, cfg)
         assert len(assignment.rx_aps) == cfg.m_rx_per_region * cfg.l_regions
         assert len(assignment.tx_aps) >= 1
