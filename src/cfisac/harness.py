@@ -25,8 +25,10 @@ table: it draws each drop once and runs each distinct config once on it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -298,21 +300,26 @@ class Draw:
     """The draw every arm of a drop shares: layout, gains, schedule and fading.
 
     ``layout``, ``gains`` (shadowed UE-AP gains) and ``schedule`` are drawn
-    at once. The fading comes in two forms, each drawn on first use and kept
-    for the drop's later arms:
+    at once. The fading comes in two forms, drawn realization by realization
+    on first use and kept for the drop's later arms:
 
-    - ``fading()``, the (F, K, M, N) tensor of every link from the streams
-      (seed, drop, _S_FADING, f), scaled by sqrt(gains), for dense-path arms;
-    - ``normals(count)``, the first ``count`` CN(0, 1) values of each
+    - ``fading(fs)``, realizations fs of the (F, K, M, N) tensor of every link
+      from the streams (seed, drop, _S_FADING, f), scaled by sqrt(gains), for
+      dense-path arms;
+    - ``normals(count, fs)``, the first ``count`` CN(0, 1) values of each
       realization's law stream (seed, drop, _S_BANK, f), (F, count), for
       bank-path arms. A longer request extends the streams, so every arm
       reads a prefix of the same numbers and an arm alone reads the bytes it
       reads inside a table.
 
-    Both are read-only, so an arm that writes into them raises instead of
-    changing the arms after it. ``oracle_h``, None unless a test sets it, is
-    a full fading tensor that bank-path arms then derive their draws from in
-    place of their stream (``_bank_downlink``).
+    An arm's realization blocks ask for their own rows from their own
+    threads, so a realization is drawn, and a law prefix copied, by the block
+    that first needs it. Without ``fs`` every realization is drawn, in one
+    block per usable core. What they return is read-only, so an arm that
+    writes into it raises instead of changing the arms after it.
+    ``oracle_h``, None unless a test sets it, is a full fading tensor that
+    bank-path arms then derive their draws from in place of their stream
+    (``_bank_downlink``).
     """
 
     def __init__(self, cfg: ExperimentConfig, drop_index: int):
@@ -326,10 +333,14 @@ class Draw:
         self._shared = {}
         self._key = (cfg.seed, drop_index)
         self._shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+        self._lock = threading.Lock()  # guards the allocations the blocks share
         self._h = None
+        self._h_drawn = [False] * cfg.n_fading
         self._rngs = [None] * cfg.n_fading
-        self._reals = None  # the law streams' reals, self._drawn of them per realization
-        self._drawn = 0
+        # the law streams' reals: realization f's first _widths[f] live in _homes[f]
+        self._reals = np.empty((cfg.n_fading, 0))
+        self._homes = [self._reals] * cfg.n_fading
+        self._widths = [0] * cfg.n_fading
 
     def shared(self, key: tuple, make):
         """A value every arm of the drop reads alike: make() for the first arm that asks.
@@ -341,39 +352,52 @@ class Draw:
             self._shared[key] = make()
         return self._shared[key]
 
-    def fading(self) -> np.ndarray:
-        """The (F, K, M, N) fading tensor, scaled by sqrt(gains)."""
-        if self._h is None:
-            h = np.empty(self._shape, dtype=complex)
-            _fill_fading(h, *self._key, np.sqrt(self.gains)[:, :, None])
-            h.flags.writeable = False
-            self._h = h
-        return self._h
+    def fading(self, fs: range | None = None) -> np.ndarray:
+        """Realizations fs (all when None) of the (F, K, M, N) fading tensor, scaled by sqrt(gains)."""
+        if fs is None:
+            _in_blocks(self._shape[0], self.fading)
+            return self.fading(range(self._shape[0]))
+        with self._lock:
+            if self._h is None:
+                self._h = np.empty(self._shape, dtype=complex)
+                self._sqrt_g = np.sqrt(self.gains)[:, :, None]
+        for f in fs:
+            if not self._h_drawn[f]:
+                rng = np.random.default_rng([*self._key, _S_FADING, f])
+                np.multiply(complex_normal(rng, self._shape[1:]), self._sqrt_g, out=self._h[f])
+                self._h_drawn[f] = True
+        rows = self._h[fs.start : fs.stop]
+        rows.flags.writeable = False
+        return rows
 
-    def normals(self, count: int) -> np.ndarray:
-        """(F, count) CN(0, 1): standard normal pairs (re, im) scaled by 1/sqrt(2).
+    def normals(self, count: int, fs: range | None = None) -> np.ndarray:
+        """(len(fs), count) CN(0, 1): standard normal pairs (re, im) scaled by 1/sqrt(2).
 
-        A longer request than the last one copies the values drawn so far and
-        draws only the new ones.
+        A longer request than the last one makes room for it, then each
+        realization copies the values drawn so far and draws only the new
+        ones.
         """
-        n_fading, drawn = self._shape[0], self._drawn
-        if 2 * count > drawn:
-            reals, scale = np.empty((n_fading, 2 * count)), 1.0 / math.sqrt(2.0)
-            if drawn:
-                reals[:, :drawn] = self._reals
-            self._reals = reals
-
-            def fill(block: range) -> None:
-                for f in block:
-                    if self._rngs[f] is None:
-                        self._rngs[f] = np.random.default_rng([*self._key, _S_BANK, f])
-                    new = reals[f, drawn : 2 * count]
-                    self._rngs[f].standard_normal(out=new)
-                    new *= scale
-
-            _in_blocks(n_fading, fill)
-            self._drawn = 2 * count
-        normals = self._reals[:, : 2 * count].view(complex)
+        if fs is None:
+            _in_blocks(self._shape[0], lambda block: self.normals(count, block))
+            return self.normals(count, range(self._shape[0]))
+        with self._lock:
+            if self._reals.shape[1] < 2 * count:
+                self._reals = np.empty((self._shape[0], 2 * count))
+            reals = self._reals
+        scale = 1.0 / math.sqrt(2.0)
+        for f in fs:
+            drawn = self._widths[f]
+            if self._homes[f] is not reals:
+                reals[f, :drawn] = self._homes[f][f, :drawn]
+                self._homes[f] = reals
+            if drawn < 2 * count:
+                if self._rngs[f] is None:
+                    self._rngs[f] = np.random.default_rng([*self._key, _S_BANK, f])
+                new = reals[f, drawn : 2 * count]
+                self._rngs[f].standard_normal(out=new)
+                new *= scale
+                self._widths[f] = 2 * count
+        normals = reals[fs.start : fs.stop, : 2 * count].view(complex)
         normals.flags.writeable = False
         return normals
 
@@ -393,8 +417,11 @@ def _usable_cores() -> int:
 def _in_blocks(n_fading: int, fill) -> None:
     """Run fill(block) over contiguous blocks of range(n_fading), one per usable core.
 
-    A thread pool fills the blocks in parallel (numpy's normal fills and
-    ufunc loops release the GIL); with one core the block runs inline. The
+    The calling thread runs the first block and a thread pool the others, in
+    parallel (numpy's normal fills, ufunc loops and BLAS calls release the
+    GIL). Running a block in the calling thread keeps its temporaries in the
+    allocator's main arena, which the rest of the drop reuses; a pool of one
+    thread per block held about 28 MB more at peak on a ``cf-mf`` run. The
     pool is closed before this returns, so no thread outlives the call and a
     later fork inherits none. A realization's bytes never depend on the split.
     """
@@ -406,23 +433,10 @@ def _in_blocks(n_fading: int, fill) -> None:
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(n_blocks) as pool:
-        list(pool.map(fill, blocks))
-
-
-def _fill_fading(h: np.ndarray, seed: int, drop_index: int, sqrt_g: np.ndarray) -> None:
-    """Fill h (F, K, M, N) with sqrt_g (K, M, 1) times CN(0, 1) draws, realization by realization.
-
-    Realization f draws from its own stream (seed, drop, _S_FADING, f), so its
-    bytes do not depend on how ``_in_blocks`` splits the realizations.
-    """
-
-    def fill(block: range) -> None:
-        for f in block:
-            rng = np.random.default_rng([seed, drop_index, _S_FADING, f])
-            np.multiply(complex_normal(rng, h.shape[1:]), sqrt_g, out=h[f])
-
-    _in_blocks(h.shape[0], fill)
+    with ThreadPoolExecutor(n_blocks - 1) as pool:
+        rest = pool.map(fill, blocks[1:])
+        fill(blocks[0])
+        list(rest)
 
 
 def _served_links(
@@ -444,6 +458,9 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     ``drawn`` is this drop's ``draw_drop`` output; it is drawn here when None.
     When no AP serves more than N UEs the arm takes the bank path and reads
     the law stream (``_bank_downlink``); otherwise the dense fading tensor.
+    Each realization block, one per usable core, reads its rows of the draw,
+    then runs its sensing beams, downlink and every snapshot's transmit
+    signals in one pass; echoes and detection then run on all realizations.
     """
     cfg.validate()
     drawn = draw_drop(cfg, drop_index) if drawn is None else drawn
@@ -452,51 +469,68 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
     sigma2 = cfg.sigma_z2_w
 
-    banked = max(map(len, assignment.served)) <= n_ant
-    if banked:
-        # served links in full: the stream's first N normals per link
-        ues, aps, link_of = _served_links(assignment, m_total)
-        n_law = len(ues) * n_ant
-        normals = None
-        if drawn.oracle_h is None:
-            normals = drawn.normals(n_law + _unserved_count(assignment, n_ant))
-            z = normals[:, :n_law].reshape(n_fading, len(ues), n_ant)
-            h_links = z * np.sqrt(gains[ues, aps])[:, None]
-        else:
-            h_links = drawn.oracle_h[:, ues, aps]
-    else:
-        h = drawn.fading()
-        h_links = h.reshape(n_fading, k_ues * m_total, n_ant)
-        link_of = np.arange(k_ues * m_total).reshape(k_ues, m_total)
-
     cells = drawn.shared(
         ("cells", cfg.spacing_wavelengths), lambda: _CellTables(cfg, layout, drawn.schedule)
     )
     ctx = _DropContext(cfg, layout, assignment, drawn.schedule, gains, cells)
     # one scan epoch per fading realization, cycling through the sweep
     epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) cell ids
+    # every arm of the drop reads the same symbols and unit noise
+    symbols, unit_noise = drawn.shared(
+        ("symbols, noise", cfg.n_snapshots), lambda: _symbols_and_noise(cfg, drop_index)
+    )
 
-    w0, diagnostics = _sense_beams(ctx, h_links, link_of, epoch_cells)
+    banked = max(map(len, assignment.served)) <= n_ant
+    if banked:
+        # served links in full: the stream's first N normals per link
+        ues, aps, link_of = _served_links(assignment, m_total)
+        bank = _bank_tables(ctx, n_ant)
+        n_law = len(ues) * n_ant
+        n_normals = n_law + _unserved_count(assignment, n_ant)
+        sqrt_g_links = np.sqrt(gains[ues, aps])[:, None]
+    else:
+        link_of = np.arange(k_ues * m_total).reshape(k_ues, m_total)
 
     # communication side is snapshot-independent: SINR uses beams and powers
-    if banked:
-        power, leak, transmit = _bank_downlink(ctx, h_links, w0, normals, drawn.oracle_h)
-    else:
-        power, leak, transmit = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0)
+    power = np.empty((n_fading, k_ues, k_ues))
+    leak = np.empty((n_fading, k_ues))
+    s_tx = np.empty((cfg.n_snapshots, n_fading, m_total, n_ant), dtype=complex)
+    diagnostics = []
+
+    def run_block(block: range) -> None:
+        fs = slice(block.start, block.stop)
+        block_symbols = [(x[fs], x0[fs]) for x, x0 in symbols]
+        if banked:
+            normals = oracle_h = None
+            if drawn.oracle_h is None:
+                normals = drawn.normals(n_normals, block)
+                z = normals[:, :n_law].reshape(len(block), len(ues), n_ant)
+                h_links = z * sqrt_g_links
+            else:
+                oracle_h = drawn.oracle_h[fs]
+                h_links = oracle_h[:, ues, aps]
+        else:
+            h = drawn.fading(block)
+            h_links = h.reshape(len(block), k_ues * m_total, n_ant)
+        w0, diag = _sense_beams(ctx, h_links, link_of, epoch_cells[fs])
+        if banked:
+            out = _bank_downlink(bank, h_links, w0, normals, block_symbols, oracle_h)
+        else:
+            out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, block_symbols)
+        power[fs], leak[fs], s_tx[:, fs] = out
+        diagnostics.append(diag)
+
+    _in_blocks(n_fading, run_block)
+    diagnostics = functools.reduce(DropDiagnostics.merge, diagnostics)
+
     diag_gain = np.einsum("fkk->fk", power)
     interference = power.sum(axis=2) - diag_gain
     sinr = diag_gain / (interference + leak + sigma2)
     rates = cfg.bandwidth_hz * np.log2(1.0 + sinr)
 
-    # every snapshot's transmit signals first: the echoes of one realization
-    # share its reflectivities and direct channels across snapshots; every arm
-    # of the drop reads the same symbols and unit noise
-    symbols, unit_noise = drawn.shared(
-        ("symbols, noise", cfg.n_snapshots), lambda: _symbols_and_noise(cfg, drop_index)
-    )
-    s_tx = [transmit(x, x0) for x, x0 in symbols]
-    s_tx_p = np.stack(s_tx)[:, :, ctx.tx_all]  # (J, F, P, N) of the transmit APs
-
+    # the echoes of one realization share its reflectivities and direct
+    # channels across snapshots
+    s_tx_p = s_tx[:, :, ctx.tx_all]  # (J, F, P, N) of the transmit APs
     y = _target_echoes(ctx, s_tx_p, _stream(cfg, drop_index, _S_RCS))
     y += math.sqrt(sigma2) * unit_noise[:, :, ctx.rx_all]
     if cfg.direct_residual > 0.0:
@@ -592,35 +626,25 @@ def _oracle_w(unit: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.linalg.solve(kernels.cholesky_lower(gram), np.matmul(unit, h))
 
 
-def _bank_downlink(
-    ctx: _DropContext,
-    h_links: np.ndarray,
-    w0: np.ndarray,
-    normals: np.ndarray | None,
-    oracle_h: np.ndarray | None = None,
-) -> tuple:
-    """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx(x, x0), in law.
+class _BankTables(NamedTuple):
+    """An arm's bank rows, AP by AP in order of (b_m, m), and its batches by bank size b_m."""
 
-    AP m's bank B_m = D_m U_m (b_m, N) holds its conjugated beams: U_m has
-    the unit MF beams conj(h_km) / ||h_km|| of its served UEs in ascending
-    order, then its unit sensing beam, and D_m their amplitudes. It depends
-    only on the served links. A link (k, m) off the serving sets has
-    h_km = sqrt(g_km) z with z ~ CN(0, I_N) independent of B_m, so its gains
-    B_m h_km have the law of sqrt(g_km) D_m L_m w, with L_m the lower
-    Cholesky factor of U_m U_m^H and w ~ CN(0, I_b): b_m normals instead of
-    N. Where b_m >= N, w takes N normals and U_m itself stands for L_m. A
-    served link's gains are exact: B_m h_km = ||h_km|| D_m (U_m U_m^H)[:, k].
+    shape: tuple  # (K, M)
+    aps: np.ndarray  # the APs with a bank
+    first_row: np.ndarray  # each one's first row
+    row_ap: np.ndarray  # each row's AP
+    is_ue: np.ndarray  # whether a row is a UE row; the last row of a sensing AP is not
+    symbol: np.ndarray  # the column of its symbol in [x, x0]
+    amp: np.ndarray  # its amplitude
+    link: np.ndarray  # a UE row's served link, -1 for a sensing row
+    batches: list  # a _BankBatch per bank size
 
-    ``normals`` holds the served links' N normals each, then the unserved
-    links' normals AP by AP in ascending order, each AP's by UE. The banks
-    are batched by size b_m, and the realizations are split over the usable
-    cores; no byte depends on the split. The sensing row comes last, so L_m's
-    UE rows, and every UE-beam gain, do not depend on the sensing beam. With
-    ``oracle_h`` the w come from that tensor as L_m^-1 U_m h_km / sqrt(g_km).
-    """
-    n_fading, n_links, n_ant = h_links.shape
+
+def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
+    """The index tables of an arm's banks, which no fading realization changes."""
     k_ues, m_total = ctx.amp.shape
     link_of = _served_links(ctx.assignment, m_total)[2]
+    n_links = int((link_of >= 0).sum())
     n_served, rows, width = _bank_sizes(ctx.assignment, n_ant)
 
     # the bank rows AP by AP, in order of (b_m, m): a row per served UE, then
@@ -668,59 +692,77 @@ def _bank_downlink(
             )
         )
         r0 = batch.stop
+    return _BankTables(
+        (k_ues, m_total), bank_aps, first_row, row_ap, is_ue, symbol, row_amp, row_link, batches
+    )
 
-    bank_rows = np.empty((n_fading, len(row_ap), n_ant), dtype=complex)  # unit rows (F, R, N)
-    power = np.empty((n_fading, k_ues, k_ues))
-    leak = np.empty((n_fading, k_ues))
 
-    def evaluate(block: range) -> None:
-        fs = slice(block.start, block.stop)
-        n_f = len(block)
-        h_re = h_links[fs].view(np.float64)
-        norms = np.sqrt(np.einsum("...i,...i->...", h_re, h_re))  # (F, links)
-        unit = h_links[fs].conj()
-        unit /= norms[..., None]
-        bank_rows[fs, is_ue] = unit[:, row_link[is_ue]]
-        bank_rows[fs, ~is_ue] = w0[fs][:, row_ap[~is_ue]].conj()
-        a = np.zeros((n_f, k_ues, k_ues), dtype=complex)  # a[f, k, j]: UE k's beams at UE j
-        leak_f = np.zeros((n_f, k_ues))
-        for bt in batches:
-            bank = bank_rows[fs, bt.rows].reshape(n_f, len(bt.aps), bt.size, n_ant)
-            if oracle_h is None:
-                w = normals[fs][:, bt.slots]  # (F, A, K, d)
-                w *= bt.scale
-                w = w.swapaxes(2, 3)
-            else:
-                w = _oracle_w(bank, oracle_h[fs][:, :, bt.aps].transpose(0, 2, 3, 1))
-            g, gram = _law_gains(bank, bt.amp, w)  # every row's gain toward every UE, (F, A, b, K)
-            g[:, bt.ue_a, :, bt.ue_k] = (
-                gram[:, bt.ue_a, :, bt.ue_i]
-                * bt.amp[bt.ue_a, :, 0][:, None, :]
-                * norms[:, bt.ue_links].T[..., None]
-            )
-            if bt.sense.any():
-                leak_f += (np.abs(g[:, bt.sense, -1]) ** 2).sum(axis=1)
-            g_rows = g.reshape(n_f, -1, k_ues)
-            for ues, ue_rows in bt.layers:  # a UE's beams from all its serving APs add up
-                a[:, ues] += g_rows[:, ue_rows]
-        power[fs] = (np.abs(a) ** 2).transpose(0, 2, 1)
-        leak[fs] = leak_f
+def _bank_downlink(
+    bank: _BankTables,
+    h_links: np.ndarray,
+    w0: np.ndarray,
+    normals: np.ndarray | None,
+    symbols: list,
+    oracle_h: np.ndarray | None = None,
+) -> tuple:
+    """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx (J, F, M, N), in law.
 
-    _in_blocks(n_fading, evaluate)
+    AP m's bank B_m = D_m U_m (b_m, N) holds its conjugated beams: U_m has
+    the unit MF beams conj(h_km) / ||h_km|| of its served UEs in ascending
+    order, then its unit sensing beam, and D_m their amplitudes. It depends
+    only on the served links. A link (k, m) off the serving sets has
+    h_km = sqrt(g_km) z with z ~ CN(0, I_N) independent of B_m, so its gains
+    B_m h_km have the law of sqrt(g_km) D_m L_m w, with L_m the lower
+    Cholesky factor of U_m U_m^H and w ~ CN(0, I_b): b_m normals instead of
+    N. Where b_m >= N, w takes N normals and U_m itself stands for L_m. A
+    served link's gains are exact: B_m h_km = ||h_km|| D_m (U_m U_m^H)[:, k].
 
-    def transmit(x, x0):
-        symbols = (row_amp * np.concatenate([x, x0], axis=1)[:, symbol].conj())[:, :, None]
-        s_tx = np.zeros((n_fading, m_total, n_ant), dtype=complex)
+    The realizations are those of ``h_links`` (F, links, N), ``w0`` (F, M, N),
+    ``normals`` and of each snapshot's symbols (x (F, K), x0 (F, M)).
+    ``normals`` holds the served links' N normals each, then the unserved
+    links' normals AP by AP in ascending order, each AP's by UE. The banks
+    are batched by size b_m. The sensing row comes last, so L_m's UE rows,
+    and every UE-beam gain, do not depend on the sensing beam. With
+    ``oracle_h`` (F, K, M, N) the w come from that tensor as
+    L_m^-1 U_m h_km / sqrt(g_km).
+    """
+    n_fading, _, n_ant = h_links.shape
+    k_ues, m_total = bank.shape
+    h_re = h_links.view(np.float64)
+    norms = np.sqrt(np.einsum("...i,...i->...", h_re, h_re))  # (F, links)
+    unit = h_links.conj()
+    unit /= norms[..., None]
+    bank_rows = np.empty((n_fading, len(bank.row_ap), n_ant), dtype=complex)  # unit rows
+    bank_rows[:, bank.is_ue] = unit[:, bank.link[bank.is_ue]]
+    bank_rows[:, ~bank.is_ue] = w0[:, bank.row_ap[~bank.is_ue]].conj()
+    a = np.zeros((n_fading, k_ues, k_ues), dtype=complex)  # a[f, k, j]: UE k's beams at UE j
+    leak = np.zeros((n_fading, k_ues))
+    for bt in bank.batches:
+        rows = bank_rows[:, bt.rows].reshape(n_fading, len(bt.aps), bt.size, n_ant)
+        if oracle_h is None:
+            w = normals[:, bt.slots]  # (F, A, K, d)
+            w *= bt.scale
+            w = w.swapaxes(2, 3)
+        else:
+            w = _oracle_w(rows, oracle_h[:, :, bt.aps].transpose(0, 2, 3, 1))
+        g, gram = _law_gains(rows, bt.amp, w)  # every row's gain toward every UE, (F, A, b, K)
+        g[:, bt.ue_a, :, bt.ue_k] = (
+            gram[:, bt.ue_a, :, bt.ue_i]
+            * bt.amp[bt.ue_a, :, 0][:, None, :]
+            * norms[:, bt.ue_links].T[..., None]
+        )
+        if bt.sense.any():
+            leak += (np.abs(g[:, bt.sense, -1]) ** 2).sum(axis=1)
+        g_rows = g.reshape(n_fading, -1, k_ues)
+        for ues, ue_rows in bt.layers:  # a UE's beams from all its serving APs add up
+            a[:, ues] += g_rows[:, ue_rows]
+    power = (np.abs(a) ** 2).transpose(0, 2, 1)
 
-        def signals(block: range) -> None:
-            fs = slice(block.start, block.stop)
-            terms = bank_rows[fs] * symbols[fs]
-            s_tx[fs, bank_aps] = np.add.reduceat(terms, first_row, axis=1).conj()
-
-        _in_blocks(n_fading, signals)
-        return s_tx
-
-    return power, leak, transmit
+    s_tx = np.zeros((len(symbols), n_fading, m_total, n_ant), dtype=complex)
+    for s_j, (x, x0) in zip(s_tx, symbols):
+        amps = (bank.amp * np.concatenate([x, x0], axis=1)[:, bank.symbol].conj())[:, :, None]
+        s_j[:, bank.aps] = np.add.reduceat(bank_rows * amps, bank.first_row, axis=1).conj()
+    return power, leak, s_tx
 
 
 class _BankBatch(NamedTuple):
@@ -748,23 +790,23 @@ def _layers(ues: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     return [(ues[layer == l], rows[layer == l]) for l in range(max(layer, default=-1) + 1)]
 
 
-def _dense_downlink(ctx: _DropContext, h: np.ndarray, w0_amp: np.ndarray) -> tuple:
-    """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx(x, x0).
+def _dense_downlink(ctx: _DropContext, h: np.ndarray, w0_amp: np.ndarray, symbols: list) -> tuple:
+    """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx (J, F, M, N).
 
     The dense (F, K, M, N) beams serve all (k, m) links at once, for drops
-    where some AP serves more than N UEs (TC/CF with K > N).
+    where some AP serves more than N UEs (TC/CF with K > N). The
+    realizations are those of h, w0_amp and each snapshot's symbols
+    (x (F, K), x0 (F, M)).
     """
     # leakage first: its temporaries and the beam tensor are never live together
     leak = kernels.sense_leakage(h, w0_amp)
     w_conj = _mf_beams(h, ctx.amp)
     power = np.abs(kernels.cross_gains(h, w_conj)) ** 2
-
-    def transmit(x, x0):
-        s_tx = np.einsum("fkmn,fk->fmn", w_conj, x.conj(), optimize=True).conj()
-        s_tx += w0_amp * x0[:, :, None]
-        return s_tx
-
-    return power, leak, transmit
+    s_tx = np.empty((len(symbols), *w0_amp.shape), dtype=complex)
+    for s_j, (x, x0) in zip(s_tx, symbols):
+        np.conjugate(np.einsum("fkmn,fk->fmn", w_conj, x.conj(), optimize=True), out=s_j)
+        s_j += w0_amp * x0[:, :, None]
+    return power, leak, s_tx
 
 
 def _detect(cfg: ExperimentConfig, ctx: _DropContext, epoch_cells, s_tx, y) -> tuple:

@@ -85,13 +85,15 @@ def test_law_rates_match_dense_rates_in_distribution():
 def test_mf_and_zf_share_every_ue_beam_gain(monkeypatch):
     # the sensing row comes last in every bank, so changing the sensing beam
     # leaves every UE-beam gain, and so the cross-gain powers, bitwise alike
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)  # one downlink call per arm
     outputs = _spy(monkeypatch, harness, "_bank_downlink")
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 6})
     drawn = draw_drop(cfg, 0)
     run_drop(cfg, 0, drawn)
     run_drop(cfg.replace(beamformer="ZF", k_zf=1), 0, drawn)
     (power_mf, leak_mf, _), (power_zf, leak_zf, _) = outputs
-    assert np.array_equal(power_mf.view(np.uint8), power_zf.view(np.uint8))
+    bits_mf, bits_zf = (np.ascontiguousarray(p).view(np.uint8) for p in (power_mf, power_zf))
+    assert np.array_equal(bits_mf, bits_zf)
     assert not np.allclose(leak_mf, leak_zf, rtol=1e-6, atol=0)
 
 
@@ -102,13 +104,13 @@ def test_law_normals_per_realization(mode, count, monkeypatch):
     requests = []
     original = harness.Draw.normals
 
-    def normals(self, n):
+    def normals(self, n, fs=None):
         requests.append(n)
-        return original(self, n)
+        return original(self, n, fs)
 
     monkeypatch.setattr(harness.Draw, "normals", normals)
     run_drop(ExperimentConfig(mode=mode, seed=1, n_fading=2), 1)
-    assert requests == [count]
+    assert requests and set(requests) == {count}  # every realization block asks alike
 
 
 def test_a_longer_request_extends_the_same_stream(monkeypatch):
@@ -129,12 +131,23 @@ def test_a_longer_request_extends_the_same_stream(monkeypatch):
 
 
 def test_bank_tables_never_draw_the_dense_tensor(monkeypatch):
-    fading = _spy(monkeypatch, harness.Draw, "fading")
+    # the dense realizations drawn, as (drop, f), read off their stream keys
+    drawn = []
+    draw = harness.complex_normal
+
+    def spy(rng, shape):
+        seed, drop, purpose, *f = rng.bit_generator.seed_seq.entropy
+        if purpose == harness._S_FADING:
+            drawn.append((drop, *f))
+        return draw(rng, shape)
+
+    monkeypatch.setattr(harness, "complex_normal", spy)
     cfg = ExperimentConfig(**SMALL)
     run_arms(preset_rx_sweep(cfg, [1, 2]))
-    assert fading == []
+    assert drawn == []
     run_arms(preset_mode_comparison(cfg.replace(k_ues=6)))  # K > N: TC and CF are dense
-    assert len(fading) == 2 * cfg.n_drops  # drawn once per drop, read by both dense arms
+    # each realization drawn once per drop, read by both dense arms
+    assert sorted(drawn) == [(d, f) for d in range(cfg.n_drops) for f in range(cfg.n_fading)]
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0])

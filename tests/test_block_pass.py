@@ -2,12 +2,22 @@
 realizations are split over the cores."""
 
 import hashlib
+import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cfisac import harness
 from cfisac.config import ExperimentConfig
-from cfisac.harness import preset_mode_comparison, run_arms, run_experiment
+from cfisac.harness import (
+    draw_drop,
+    preset_mode_comparison,
+    run_arms,
+    run_drop,
+    run_experiment,
+)
 
 FIELDS = ("rates_bps", "sensing_snr_db", "statistics", "thresholds", "decisions", "truths")
 
@@ -47,3 +57,116 @@ def test_uc_extends_the_utc_stream_and_keeps_its_bytes():
     # UTC runs first in the table and UC reads a longer prefix of its law stream
     arms = run_arms(preset_mode_comparison(_pinned_cfg()))
     assert _digest(arms["UC"]) == UC_IN_TABLE
+
+
+# K = 6 UEs on N = 4 antennas: UTC caps every AP at N UEs (bank path), CF
+# serves all K from each AP (dense path)
+SMALL = dict(
+    m_aps=10,
+    k_ues=6,
+    t_targets=2,
+    l_regions=1,
+    n_antennas=4,
+    q_serving=2,
+    m_tx_per_region=3,
+    m_rx_per_region=2,
+    cell_extent_m=500.0,
+    seed=5,
+)
+ARMS = {
+    "bank-MF": dict(mode="UTC"),
+    "bank-ZF": dict(mode="UTC", beamformer="ZF", k_zf=2),
+    "dense-MF": dict(mode="CF"),
+    "dense-ZF": dict(mode="CF", beamformer="ZF", k_zf=2),
+}
+
+
+def _cfg(arm: str, n_fading: int) -> ExperimentConfig:
+    return ExperimentConfig(**{**SMALL, **ARMS[arm], "n_fading": n_fading})
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_each_arm_takes_its_downlink_path(arm, monkeypatch):
+    calls = []
+    for name in ("_bank_downlink", "_dense_downlink"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, name=name, fn=original: calls.append(name) or fn(*args)
+        )
+    run_drop(_cfg(arm, 3), 0)
+    assert set(calls) == {"_bank_downlink" if arm.startswith("bank") else "_dense_downlink"}
+
+
+@pytest.mark.parametrize("n_fading", [1, 3, 7])
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_outputs_do_not_depend_on_the_core_count(arm, n_fading, monkeypatch):
+    # more blocks than cores, and thread switches as often as the interpreter allows
+    cfg = _cfg(arm, n_fading)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 4, 16):
+            monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+            results.append(run_drop(cfg, 0))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(results[0], name))
+        assert got.diagnostics == results[0].diagnostics
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_a_failed_block_fails_the_drop_and_leaves_no_thread(arm, monkeypatch):
+    calls = itertools.count()
+    sense_beams = harness._sense_beams
+
+    def failing(*args):
+        if next(calls) == 1:
+            raise FloatingPointError("the second block")
+        return sense_beams(*args)
+
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(harness, "_sense_beams", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="the second block"):
+        run_drop(_cfg(arm, 7), 0)
+    assert threading.active_count() == threads
+
+
+def test_one_pass_per_arm(monkeypatch):
+    # a lone arm and every arm of a table run their realizations in one pass,
+    # and the table draws each realization once
+    passes = []
+    in_blocks = harness._in_blocks
+    monkeypatch.setattr(
+        harness, "_in_blocks", lambda n, fill: passes.append(n) or in_blocks(n, fill)
+    )
+    for arm in ARMS:
+        passes.clear()
+        run_drop(_cfg(arm, 5), 0)
+        assert passes == [5], arm
+    cfg = ExperimentConfig(**{**SMALL, "n_fading": 5, "n_drops": 2})
+    passes.clear()
+    run_arms(preset_mode_comparison(cfg))
+    assert passes == [5] * 4 * cfg.n_drops
+
+
+def test_a_table_draws_each_law_realization_once(monkeypatch):
+    # K = 3: all four modes take the bank path, and each arm after UTC reads a
+    # longer prefix of the law stream (38, 50, 96 and 96 normals): the blocks
+    # copy the prefixes drawn so far, and each realization's stream is
+    # seeded once per drop
+    cfg = ExperimentConfig(**{**SMALL, "k_ues": 3, "n_fading": 5})
+    drawn = draw_drop(cfg, 0)
+    seeded = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key))
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    for arm_cfg in preset_mode_comparison(cfg).values():
+        run_drop(arm_cfg, 0, drawn)
+    monkeypatch.undo()
+    bank_keys = sorted(key for key in seeded if isinstance(key, list) and key[2:3] == [harness._S_BANK])
+    assert bank_keys == [[cfg.seed, 0, harness._S_BANK, f] for f in range(cfg.n_fading)]
+    np.testing.assert_array_equal(drawn.normals(96), draw_drop(cfg, 0).normals(96))

@@ -121,17 +121,22 @@ class TestRunDrop:
         np.testing.assert_array_equal(layouts["UTC"][2], layouts["CF"][2])
 
     def test_drawn_fading_is_read_only(self):
+        # a block's rows and the whole draw alike
         drawn = draw_drop(ExperimentConfig(**TINY), 0)
-        h, normals = drawn.fading(), drawn.normals(5)
-        with pytest.raises(ValueError, match="read-only"):
-            h[0, 0, 0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            normals[0, 0] = 0.0
+        block = range(1, 3)
+        for h in (drawn.fading(block), drawn.fading()):
+            with pytest.raises(ValueError, match="read-only"):
+                h[0, 0, 0, 0] = 0.0
+        for normals in (drawn.normals(5, block), drawn.normals(5), drawn.normals(8, block)):
+            with pytest.raises(ValueError, match="read-only"):
+                normals[0, 0] = 0.0
 
     def test_fading_is_drawn_realization_by_realization(self):
-        # realization f alone from its stream (seed, drop, purpose, f), scaled by sqrt(gains)
+        # realization f alone from its stream (seed, drop, purpose, f), scaled by
+        # sqrt(gains), whichever block asks for it first
         cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
         drawn = draw_drop(cfg, 1)
+        blocks = {block: drawn.fading(block) for block in (range(3, 5), range(0, 1), range(1, 3))}
         h = drawn.fading()
         shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
         for f in range(cfg.n_fading):
@@ -139,6 +144,8 @@ class TestRunDrop:
             np.testing.assert_array_equal(
                 h[f], complex_normal(rng, shape) * np.sqrt(drawn.gains)[:, :, None]
             )
+        for block, rows in blocks.items():
+            np.testing.assert_array_equal(rows, h[block.start : block.stop])
 
     @pytest.mark.parametrize("n_fading", [1, 3, 7, 64])
     def test_fading_bytes_do_not_depend_on_the_core_count(self, n_fading, monkeypatch):
@@ -179,11 +186,16 @@ class TestRunDrop:
     )
     def test_downlink_path_follows_the_serving_load(self, mode, banked, monkeypatch):
         # baseline K=32 > N=8: UC/UTC cap every AP at N UEs, TC/CF serve all K from each
+        # two realization blocks: each asks the draw for its own rows and runs
+        # its downlink on them
         calls = []
 
         def spy(name, fn):
             def wrapper(*args):
-                calls.append(name)
+                if isinstance(args[-1], range):
+                    calls.append((name, args[-1].start, args[-1].stop))
+                else:
+                    calls.append((name, len(args[1])))
                 return fn(*args)
 
             return wrapper
@@ -195,10 +207,12 @@ class TestRunDrop:
             (harness.Draw, "normals"),
         ):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-        run_drop(ExperimentConfig(mode=mode, n_fading=2), 0)
-        # a bank arm reads its law stream and never draws the dense tensor
-        expected = ["normals", "_bank_downlink"] if banked else ["fading", "_dense_downlink"]
-        assert calls == expected
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        run_drop(ExperimentConfig(mode=mode, n_fading=4), 0)
+        # a bank arm reads its law stream and never draws a dense row
+        draw, downlink = ("normals", "_bank_downlink") if banked else ("fading", "_dense_downlink")
+        expected = [(draw, 0, 2), (draw, 2, 4), (downlink, 2), (downlink, 2)]
+        assert sorted(calls) == sorted(expected)
 
     def test_decision_consistent_with_threshold(self):
         dr = run_drop(ExperimentConfig(**TINY), 0)
