@@ -495,7 +495,7 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     power = np.empty((n_fading, k_ues, k_ues))
     leak = np.empty((n_fading, k_ues))
     s_tx = np.empty((cfg.n_snapshots, n_fading, m_total, n_ant), dtype=complex)
-    diagnostics = []
+    block_diagnostics = []
 
     def run_block(block: range) -> None:
         fs = slice(block.start, block.stop)
@@ -518,10 +518,10 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
         else:
             out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, block_symbols)
         power[fs], leak[fs], s_tx[:, fs] = out
-        diagnostics.append(diag)
+        block_diagnostics.append(diag)
 
     _in_blocks(n_fading, run_block)
-    diagnostics = functools.reduce(DropDiagnostics.merge, diagnostics)
+    diagnostics = functools.reduce(DropDiagnostics.merge, block_diagnostics)
 
     diag_gain = np.einsum("fkk->fk", power)
     interference = power.sum(axis=2) - diag_gain
