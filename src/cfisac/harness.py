@@ -15,10 +15,14 @@ on the dense downlink path, and for bank-path arms (UC/UTC) a flat stream
 of normals per realization from which each arm draws its served links in
 full and every other link in law through its AP's bank (``_bank_downlink``).
 Arms read prefixes of that one stream, so an arm alone reads the bytes it
-reads in a table. Both draws split the realizations over every core the
-process may use (``taskset`` limits them), and the thread count never
-changes a byte. On a ``utc-mf`` drop (2 cores) the law draw takes 11-13 of
-38-43 ms, against 28-29 of 49 ms for the dense draw it replaces.
+reads in a table. ``run_drop`` runs an arm in one pass over realization
+blocks, one per core the process may use (``taskset`` limits them): each
+block draws or reads its rows of the fading, then runs its sensing beams,
+downlink and transmit signals, and the thread count never changes a byte.
+On a ``cf-mf`` drop (2 cores, BLAS at one thread) the pass takes 28-29 of
+37-38 ms, where the draw, the dense downlink and the transmit signals one
+after the other took 44 of 55-56 ms; a ``utc-mf`` drop takes 23 instead of
+28-29 ms (``BENCH_19.json``).
 A preset is a table of arms (label -> config), and ``run_arms`` runs any
 table: it draws each drop once and runs each distinct config once on it.
 """
@@ -314,8 +318,7 @@ class Draw:
 
     An arm's realization blocks ask for their own rows from their own
     threads, so a realization is drawn, and a law prefix copied, by the block
-    that first needs it. Without ``fs`` every realization is drawn, in one
-    block per usable core. What they return is read-only, so an arm that
+    that first needs it. What they return is read-only, so an arm that
     writes into it raises instead of changing the arms after it.
     ``oracle_h``, None unless a test sets it, is a full fading tensor that
     bank-path arms then derive their draws from in place of their stream
@@ -352,11 +355,8 @@ class Draw:
             self._shared[key] = make()
         return self._shared[key]
 
-    def fading(self, fs: range | None = None) -> np.ndarray:
-        """Realizations fs (all when None) of the (F, K, M, N) fading tensor, scaled by sqrt(gains)."""
-        if fs is None:
-            _in_blocks(self._shape[0], self.fading)
-            return self.fading(range(self._shape[0]))
+    def fading(self, fs: range) -> np.ndarray:
+        """Realizations fs of the (F, K, M, N) fading tensor, scaled by sqrt(gains)."""
         with self._lock:
             if self._h is None:
                 self._h = np.empty(self._shape, dtype=complex)
@@ -370,16 +370,13 @@ class Draw:
         rows.flags.writeable = False
         return rows
 
-    def normals(self, count: int, fs: range | None = None) -> np.ndarray:
+    def normals(self, count: int, fs: range) -> np.ndarray:
         """(len(fs), count) CN(0, 1): standard normal pairs (re, im) scaled by 1/sqrt(2).
 
         A longer request than the last one makes room for it, then each
         realization copies the values drawn so far and draws only the new
         ones.
         """
-        if fs is None:
-            _in_blocks(self._shape[0], lambda block: self.normals(count, block))
-            return self.normals(count, range(self._shape[0]))
         with self._lock:
             if self._reals.shape[1] < 2 * count:
                 self._reals = np.empty((self._shape[0], 2 * count))

@@ -7,11 +7,15 @@ contraction. The first two serve the dense downlink path (TC/CF when some
 AP serves more than N UEs).
 
 The bank path (UC/UTC) draws each AP's unserved links in law through the
-lower Cholesky factor of its bank's Gram, ``cholesky_lower``. On the
-``utc-mf`` benchmark workload (2 cores, BLAS at one thread) that law draw
-takes 11-13 ms of a 38-43 ms drop, where the dense draw took 28-29 of 49 ms,
-and the bank path's gain step (Cholesky factors and small batched matmuls)
-13-14 ms (``BENCH_18.json``).
+lower Cholesky factor of its bank's Gram, ``cholesky_lower``.
+
+Each realization block of ``harness.run_drop`` runs these kernels on its
+own rows and core. On the ``cf-mf`` benchmark workload (2 cores, BLAS at
+one thread) the dense downlink takes 16 ms of thread time per drop, split
+over two blocks, where it took 18-19 ms in one thread. On ``utc-mf`` the
+law draw takes 12 ms and the bank path's gain step (Cholesky factors and
+small batched matmuls) 18 ms of thread time, inside a 16 ms pass of a 23 ms
+drop (``BENCH_19.json``).
 """
 
 from __future__ import annotations

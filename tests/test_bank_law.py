@@ -60,7 +60,7 @@ def test_unserved_gain_covariance_at_fixed_bank():
     unit = complex_normal(rng, (b, n_ant))
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     amp = np.array([0.7, 0.7, 1.3])[:, None]
-    normals = draw_drop(ExperimentConfig(n_fading=25), 0).normals(b * n_links // 25)
+    normals = draw_drop(ExperimentConfig(n_fading=25), 0).normals(b * n_links // 25, range(25))
     w = np.sqrt(g_km) * normals.reshape(n_links, b).T  # an AP's links, b normals each
     gains, gram = _law_gains(unit, amp, w)
     cov = gains @ gains.conj().T / n_links
@@ -76,7 +76,7 @@ def test_law_rates_match_dense_rates_in_distribution():
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 2000})
     law = run_drop(cfg, 0).rates_bps.ravel()
     drawn = draw_drop(cfg, 0)
-    drawn.oracle_h = drawn.fading()
+    drawn.oracle_h = drawn.fading(range(cfg.n_fading))
     dense = run_drop(cfg, 0, drawn).rates_bps.ravel()
     assert not np.array_equal(law, dense)
     assert ks_2samp(law, dense).pvalue > 0.01
@@ -104,7 +104,7 @@ def test_law_normals_per_realization(mode, count, monkeypatch):
     requests = []
     original = harness.Draw.normals
 
-    def normals(self, n, fs=None):
+    def normals(self, n, fs):
         requests.append(n)
         return original(self, n, fs)
 
@@ -113,15 +113,17 @@ def test_law_normals_per_realization(mode, count, monkeypatch):
     assert requests and set(requests) == {count}  # every realization block asks alike
 
 
-def test_a_longer_request_extends_the_same_stream(monkeypatch):
+def test_a_longer_request_extends_the_same_stream():
     # a table's arms read prefixes of one stream per realization, whatever
-    # the order of their requests and the number of cores
+    # the order of their requests and the blocks that make them
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 5})
+    every = range(cfg.n_fading)
     grown = draw_drop(cfg, 0)
-    short = grown.normals(7).copy()
-    longer = grown.normals(50)
-    monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
-    once = draw_drop(cfg, 0).normals(50)
+    short = grown.normals(7, every).copy()
+    grown.normals(50, range(3, 5))
+    grown.normals(20, range(0, 3))
+    longer = grown.normals(50, every)
+    once = draw_drop(cfg, 0).normals(50, every)
     np.testing.assert_array_equal(longer[:, :7], short)
     np.testing.assert_array_equal(longer, once)
     for f in range(cfg.n_fading):

@@ -169,4 +169,5 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
     monkeypatch.undo()
     bank_keys = sorted(key for key in seeded if isinstance(key, list) and key[2:3] == [harness._S_BANK])
     assert bank_keys == [[cfg.seed, 0, harness._S_BANK, f] for f in range(cfg.n_fading)]
-    np.testing.assert_array_equal(drawn.normals(96), draw_drop(cfg, 0).normals(96))
+    every = range(cfg.n_fading)
+    np.testing.assert_array_equal(drawn.normals(96, every), draw_drop(cfg, 0).normals(96, every))

@@ -123,11 +123,11 @@ class TestRunDrop:
     def test_drawn_fading_is_read_only(self):
         # a block's rows and the whole draw alike
         drawn = draw_drop(ExperimentConfig(**TINY), 0)
-        block = range(1, 3)
-        for h in (drawn.fading(block), drawn.fading()):
+        block, every = range(1, 3), range(TINY["n_fading"])
+        for h in (drawn.fading(block), drawn.fading(every)):
             with pytest.raises(ValueError, match="read-only"):
                 h[0, 0, 0, 0] = 0.0
-        for normals in (drawn.normals(5, block), drawn.normals(5), drawn.normals(8, block)):
+        for normals in (drawn.normals(5, block), drawn.normals(5, every), drawn.normals(8, block)):
             with pytest.raises(ValueError, match="read-only"):
                 normals[0, 0] = 0.0
 
@@ -137,7 +137,7 @@ class TestRunDrop:
         cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
         drawn = draw_drop(cfg, 1)
         blocks = {block: drawn.fading(block) for block in (range(3, 5), range(0, 1), range(1, 3))}
-        h = drawn.fading()
+        h = drawn.fading(range(cfg.n_fading))
         shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
         for f in range(cfg.n_fading):
             rng = np.random.default_rng([cfg.seed, 1, _S_FADING, f])
@@ -157,8 +157,11 @@ class TestRunDrop:
         try:
             for cores in (1, 4, 16):
                 monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-                draw = draw_drop(cfg, 0)
-                drawn.append((draw.fading(), draw.normals(9), draw.normals(40)))
+                draw, every = draw_drop(cfg, 0), range(n_fading)
+                harness._in_blocks(n_fading, draw.fading)
+                harness._in_blocks(n_fading, lambda fs: draw.normals(9, fs))
+                harness._in_blocks(n_fading, lambda fs: draw.normals(40, fs))
+                drawn.append((draw.fading(every), draw.normals(9, every), draw.normals(40, every)))
         finally:
             sys.setswitchinterval(interval)
         for arrays in drawn[1:]:
@@ -178,7 +181,7 @@ class TestRunDrop:
         monkeypatch.setattr(harness, "complex_normal", draw)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="realization 4"):
-            draw_drop(cfg, 0).fading()
+            harness._in_blocks(cfg.n_fading, draw_drop(cfg, 0).fading)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
@@ -577,7 +580,7 @@ def _drop_context(cfg, drop=0, layout=None, all_cells=False):
     if all_cells:
         schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
     assignment = build_assignment(layout, drawn.gains, cfg)
-    return _DropContext(cfg, layout, assignment, schedule, drawn.gains), drawn.fading()
+    return _DropContext(cfg, layout, assignment, schedule, drawn.gains), drawn.fading(range(cfg.n_fading))
 
 
 def _truth_loop(layout):
