@@ -13,9 +13,9 @@ Each realization block of ``harness.run_drop`` runs these kernels on its
 own rows and core. On the ``cf-mf`` benchmark workload (2 cores, BLAS at
 one thread) the dense downlink takes 16 ms of thread time per drop, split
 over two blocks, where it took 18-19 ms in one thread. On ``utc-mf`` the
-law draw takes 12 ms and the bank path's gain step (Cholesky factors and
-small batched matmuls) 18 ms of thread time, inside a 16 ms pass of a 23 ms
-drop (``BENCH_19.json``).
+law draw takes 12 ms and the bank downlink (Cholesky factors, small
+batched matmuls and the transmit signals) 18 ms of thread time, inside a
+16 ms pass of a 23 ms drop (``BENCH_19.json``).
 """
 
 from __future__ import annotations
