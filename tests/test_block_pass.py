@@ -136,8 +136,7 @@ def test_a_failed_block_fails_the_drop_and_leaves_no_thread(arm, monkeypatch):
 
 
 def test_one_pass_per_arm(monkeypatch):
-    # a lone arm and every arm of a table run their realizations in one pass,
-    # and the table draws each realization once
+    # a lone arm and every arm of a table run their realizations in one pass
     passes = []
     in_blocks = harness._in_blocks
     monkeypatch.setattr(
@@ -162,12 +161,16 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
     drawn = draw_drop(cfg, 0)
     seeded = []
     default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key))
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key)
+    )
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     for arm_cfg in preset_mode_comparison(cfg).values():
         run_drop(arm_cfg, 0, drawn)
     monkeypatch.undo()
-    bank_keys = sorted(key for key in seeded if isinstance(key, list) and key[2:3] == [harness._S_BANK])
+    bank_keys = sorted(
+        key for key in seeded if isinstance(key, list) and key[2:3] == [harness._S_BANK]
+    )
     assert bank_keys == [[cfg.seed, 0, harness._S_BANK, f] for f in range(cfg.n_fading)]
     every = range(cfg.n_fading)
     np.testing.assert_array_equal(drawn.normals(96, every), draw_drop(cfg, 0).normals(96, every))

@@ -580,7 +580,8 @@ def _drop_context(cfg, drop=0, layout=None, all_cells=False):
     if all_cells:
         schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
     assignment = build_assignment(layout, drawn.gains, cfg)
-    return _DropContext(cfg, layout, assignment, schedule, drawn.gains), drawn.fading(range(cfg.n_fading))
+    ctx = _DropContext(cfg, layout, assignment, schedule, drawn.gains)
+    return ctx, drawn.fading(range(cfg.n_fading))
 
 
 def _truth_loop(layout):
