@@ -141,7 +141,7 @@ class ExperimentConfig:
             raise ConfigError("q_serving must be >= 1")
         if not 0.0 < self.pfa_target < 1.0:
             raise ConfigError("pfa_target must lie in (0, 1)")
-        if self.k_zf < 0 or self.k_zf > self.n_antennas - 1:
+        if self.beamformer == "ZF" and not 0 <= self.k_zf <= self.n_antennas - 1:
             raise ConfigError("k_zf must lie in [0, n_antennas - 1]")
         if self.p_max_w <= 0 or self.bandwidth_hz <= 0 or self.carrier_hz <= 0:
             raise ConfigError("p_max_w, bandwidth_hz and carrier_hz must be positive")

@@ -8,7 +8,7 @@ reductions run through :mod:`cfisac.kernels`.
 Random streams are derived from (seed, drop, purpose) tuples, so drops are
 order-independent and experiment arms that share a seed see identical
 layouts, shadowing, schedules, symbols and noise (common random numbers).
-``draw_drop`` is the draw a drop's arms share and ``run_drop`` evaluates one
+``Draw`` is the draw a drop's arms share and ``run_drop`` evaluates one
 arm on it. Its fading comes in two forms, keyed by (seed, drop, purpose,
 realization) and drawn on first use: the dense (F, K, M, N) tensor for arms
 on the dense downlink path, and for bank-path arms (UC/UTC) a flat stream
@@ -291,7 +291,7 @@ def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return w_conj
 
 
-# every config value that draw_drop reads: the arms of one table agree on each
+# every config value that Draw reads: the arms of one table agree on each
 _DRAW_INPUTS = (
     "seed", "n_fading", "m_aps", "k_ues", "t_targets", "l_regions", "n_antennas",
     "area_side_m", "ap_height_m", "ue_height_m", "target_height_min_m",
@@ -312,17 +312,15 @@ class Draw:
       dense-path arms;
     - ``normals(count, fs)``, the first ``count`` CN(0, 1) values of each
       realization's law stream (seed, drop, _S_BANK, f), (F, count), for
-      bank-path arms. A longer request extends the streams, so every arm
-      reads a prefix of the same numbers and an arm alone reads the bytes it
-      reads inside a table.
+      bank-path arms: N per served link by (UE, serving slot), then
+      min(b_m, N) per unserved link, AP by AP (``_bank_downlink``). A longer
+      request extends the streams, so every arm reads a prefix of the same
+      numbers and an arm alone reads the bytes it reads inside a table.
 
     An arm's realization blocks ask for their own rows from their own
     threads, so a realization is drawn, and a law prefix copied, by the block
     that first needs it. What they return is read-only, so an arm that
     writes into it raises instead of changing the arms after it.
-    ``oracle_h``, None unless a test sets it, is a full fading tensor that
-    bank-path arms then derive their draws from in place of their stream
-    (``_bank_downlink``).
     """
 
     def __init__(self, cfg: ExperimentConfig, drop_index: int):
@@ -332,7 +330,6 @@ class Draw:
         self.schedule = build_scan_schedule(
             self.layout.regions, _stream(cfg, drop_index, _S_SCHED), max_epochs=cfg.n_fading
         )
-        self.oracle_h = None
         self._shared = {}
         self._key = (cfg.seed, drop_index)
         self._shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
@@ -399,11 +396,6 @@ class Draw:
         return normals
 
 
-def draw_drop(cfg: ExperimentConfig, drop_index: int) -> Draw:
-    """The draw every arm of one drop reads; its fading is drawn when an arm asks."""
-    return Draw(cfg, drop_index)
-
-
 def _usable_cores() -> int:
     """Cores this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -436,23 +428,10 @@ def _in_blocks(n_fading: int, fill) -> None:
         list(rest)
 
 
-def _served_links(
-    assignment: ClusterAssignment, m_total: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Served links ordered by (UE, serving slot): their UEs, their APs, and the
-    (K, M) table of link ids, -1 off the serving sets."""
-    serving = assignment.serving
-    ues = np.repeat(np.arange(len(serving)), [len(aps) for aps in serving])
-    aps = np.concatenate(serving).astype(int)
-    link_of = np.full((len(serving), m_total), -1)
-    link_of[ues, aps] = np.arange(len(ues))
-    return ues, aps, link_of
-
-
 def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) -> DropResult:
     """Simulate one arm of a drop: clustering, then the batched fading sweep.
 
-    ``drawn`` is this drop's ``draw_drop`` output; it is drawn here when None.
+    ``drawn`` is this drop's ``Draw``; it is drawn here when None.
     When no AP serves more than N UEs the arm takes the bank path and reads
     the law stream (``_bank_downlink``); otherwise the dense fading tensor.
     Each realization block, one per usable core, reads its rows of the draw,
@@ -460,7 +439,7 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     signals in one pass; echoes and detection then run on all realizations.
     """
     cfg.validate()
-    drawn = draw_drop(cfg, drop_index) if drawn is None else drawn
+    drawn = Draw(cfg, drop_index) if drawn is None else drawn
     layout, gains = drawn.layout, drawn.gains
     assignment = build_assignment(layout, gains, cfg)
     n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
@@ -477,16 +456,8 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
         ("symbols, noise", cfg.n_snapshots), lambda: _symbols_and_noise(cfg, drop_index)
     )
 
-    banked = max(map(len, assignment.served)) <= n_ant
-    if banked:
-        # served links in full: the stream's first N normals per link
-        ues, aps, link_of = _served_links(assignment, m_total)
-        bank = _bank_tables(ctx, n_ant)
-        n_law = len(ues) * n_ant
-        n_normals = n_law + _unserved_count(assignment, n_ant)
-        sqrt_g_links = np.sqrt(gains[ues, aps])[:, None]
-    else:
-        link_of = np.arange(k_ues * m_total).reshape(k_ues, m_total)
+    bank = _bank_tables(ctx, n_ant) if max(map(len, assignment.served)) <= n_ant else None
+    link_of = np.arange(k_ues * m_total).reshape(k_ues, m_total) if bank is None else bank.link_of
 
     # communication side is snapshot-independent: SINR uses beams and powers
     power = np.empty((n_fading, k_ues, k_ues))
@@ -497,23 +468,19 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     def run_block(block: range) -> None:
         fs = slice(block.start, block.stop)
         block_symbols = [(x[fs], x0[fs]) for x, x0 in symbols]
-        if banked:
-            normals = oracle_h = None
-            if drawn.oracle_h is None:
-                normals = drawn.normals(n_normals, block)
-                z = normals[:, :n_law].reshape(len(block), len(ues), n_ant)
-                h_links = z * sqrt_g_links
-            else:
-                oracle_h = drawn.oracle_h[fs]
-                h_links = oracle_h[:, ues, aps]
-        else:
+        if bank is None:
             h = drawn.fading(block)
             h_links = h.reshape(len(block), k_ues * m_total, n_ant)
-        w0, diag = _sense_beams(ctx, h_links, link_of, epoch_cells[fs])
-        if banked:
-            out = _bank_downlink(bank, h_links, w0, normals, block_symbols, oracle_h)
         else:
+            # served links in full: the stream's first N normals per link
+            normals = drawn.normals(bank.n_normals, block)
+            z = normals[:, : bank.n_law].reshape(len(block), len(bank.sqrt_g_links), n_ant)
+            h_links = z * bank.sqrt_g_links
+        w0, diag = _sense_beams(ctx, h_links, link_of, epoch_cells[fs])
+        if bank is None:
             out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, block_symbols)
+        else:
+            out = _bank_downlink(bank, h_links, w0, normals, block_symbols)
         power[fs], leak[fs], s_tx[:, fs] = out
         block_diagnostics.append(diag)
 
@@ -578,26 +545,6 @@ def _symbols_and_noise(cfg: ExperimentConfig, drop_index: int) -> tuple[list, np
     return symbols, np.stack(noise)
 
 
-def _bank_sizes(
-    assignment: ClusterAssignment, n_ant: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per AP: served UEs n_m, bank rows b_m and law normals per unserved link.
-
-    The bank holds a row per served UE, then one for the sensing beam if the
-    AP senses; a row without power stays in it with a zero amplitude. An
-    unserved link's gains take min(b_m, N) normals.
-    """
-    n_served = np.array([len(served) for served in assignment.served])
-    rows = n_served + (assignment.pointing >= 0)
-    return n_served, rows, np.minimum(rows, n_ant)
-
-
-def _unserved_count(assignment: ClusterAssignment, n_ant: int) -> int:
-    """Law normals of every unserved link of every AP with a bank."""
-    n_served, _, width = _bank_sizes(assignment, n_ant)
-    return int(((len(assignment.serving) - n_served) * width).sum())
-
-
 def _law_gains(unit: np.ndarray, amp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains of banks D U toward links drawn in law, with the Grams U U^H.
 
@@ -611,22 +558,14 @@ def _law_gains(unit: np.ndarray, amp: np.ndarray, w: np.ndarray) -> tuple[np.nda
     return np.matmul(factor * amp, w), gram
 
 
-def _oracle_w(unit: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The law's w, times sqrt(g), that gives full channels h (..., N, K) their gains.
-
-    L^-1 U h, so that L w = U h; h itself where b >= N. Tests use it to run
-    the bank path on a given fading tensor.
-    """
-    if unit.shape[-2] >= unit.shape[-1]:
-        return h
-    gram = np.matmul(unit, unit.conj().swapaxes(-1, -2))
-    return np.linalg.solve(kernels.cholesky_lower(gram), np.matmul(unit, h))
-
-
 class _BankTables(NamedTuple):
-    """An arm's bank rows, AP by AP in order of (b_m, m), and its batches by bank size b_m."""
+    """An arm's served links and law stream, its bank rows AP by AP in order of
+    (b_m, m), and its batches by bank size b_m."""
 
-    shape: tuple  # (K, M)
+    link_of: np.ndarray  # (K, M) served link ids by (UE, serving slot), -1 off the serving sets
+    sqrt_g_links: np.ndarray  # (links, 1): each served link's sqrt(g_km)
+    n_law: int  # the stream's normals of the served links, N per link
+    n_normals: int  # every normal the arm reads per realization
     aps: np.ndarray  # the APs with a bank
     first_row: np.ndarray  # each one's first row
     row_ap: np.ndarray  # each row's AP
@@ -638,11 +577,20 @@ class _BankTables(NamedTuple):
 
 
 def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
-    """The index tables of an arm's banks, which no fading realization changes."""
+    """Everything a bank arm reads that no fading realization changes."""
     k_ues, m_total = ctx.amp.shape
-    link_of = _served_links(ctx.assignment, m_total)[2]
-    n_links = int((link_of >= 0).sum())
-    n_served, rows, width = _bank_sizes(ctx.assignment, n_ant)
+    serving = ctx.assignment.serving
+    link_ue = np.repeat(np.arange(k_ues), [len(aps) for aps in serving])
+    link_ap = np.concatenate(serving).astype(int)
+    link_of = np.full((k_ues, m_total), -1)
+    link_of[link_ue, link_ap] = np.arange(len(link_ue))
+
+    # per AP: a bank row per served UE, then one for the sensing beam if the
+    # AP senses (a row without power stays with a zero amplitude); an unserved
+    # link's gains take min(b_m, N) normals
+    n_served = np.array([len(served) for served in ctx.assignment.served])
+    rows = n_served + (ctx.assignment.pointing >= 0)
+    width = np.minimum(rows, n_ant)
 
     # the bank rows AP by AP, in order of (b_m, m): a row per served UE, then
     # the sensing row, each with the column of its symbol, its amplitude and,
@@ -662,8 +610,9 @@ def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
     # UE order; a served link reads the stream's first normals, and its law
     # gain is replaced by the exact one
     served = link_of >= 0
+    n_law = len(link_ue) * n_ant
     n_off = (k_ues - n_served) * width
-    starts = n_links * n_ant + np.cumsum(n_off) - n_off
+    starts = n_law + np.cumsum(n_off) - n_off
     slot = np.where(served, 0, starts + (np.cumsum(~served, axis=0) - 1) * width)  # (K, M)
 
     batches, r0 = [], 0
@@ -689,8 +638,10 @@ def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
             )
         )
         r0 = batch.stop
+    sqrt_g_links = np.sqrt(ctx.gains[link_ue, link_ap])[:, None]
     return _BankTables(
-        (k_ues, m_total), bank_aps, first_row, row_ap, is_ue, symbol, row_amp, row_link, batches
+        link_of, sqrt_g_links, n_law, n_law + int(n_off.sum()),
+        bank_aps, first_row, row_ap, is_ue, symbol, row_amp, row_link, batches
     )
 
 
@@ -698,9 +649,8 @@ def _bank_downlink(
     bank: _BankTables,
     h_links: np.ndarray,
     w0: np.ndarray,
-    normals: np.ndarray | None,
+    normals: np.ndarray,
     symbols: list,
-    oracle_h: np.ndarray | None = None,
 ) -> tuple:
     """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx (J, F, M, N), in law.
 
@@ -719,12 +669,10 @@ def _bank_downlink(
     ``normals`` holds the served links' N normals each, then the unserved
     links' normals AP by AP in ascending order, each AP's by UE. The banks
     are batched by size b_m. The sensing row comes last, so L_m's UE rows,
-    and every UE-beam gain, do not depend on the sensing beam. With
-    ``oracle_h`` (F, K, M, N) the w come from that tensor as
-    L_m^-1 U_m h_km / sqrt(g_km).
+    and every UE-beam gain, do not depend on the sensing beam.
     """
     n_fading, _, n_ant = h_links.shape
-    k_ues, m_total = bank.shape
+    k_ues, m_total = bank.link_of.shape
     h_re = h_links.view(np.float64)
     norms = np.sqrt(np.einsum("...i,...i->...", h_re, h_re))  # (F, links)
     unit = h_links.conj()
@@ -736,13 +684,10 @@ def _bank_downlink(
     leak = np.zeros((n_fading, k_ues))
     for bt in bank.batches:
         rows = bank_rows[:, bt.rows].reshape(n_fading, len(bt.aps), bt.size, n_ant)
-        if oracle_h is None:
-            w = normals[:, bt.slots]  # (F, A, K, d)
-            w *= bt.scale
-            w = w.swapaxes(2, 3)
-        else:
-            w = _oracle_w(rows, oracle_h[:, :, bt.aps].transpose(0, 2, 3, 1))
-        g, gram = _law_gains(rows, bt.amp, w)  # every row's gain toward every UE, (F, A, b, K)
+        w = normals[:, bt.slots]  # (F, A, K, d)
+        w *= bt.scale
+        # every row's gain toward every UE, (F, A, b, K)
+        g, gram = _law_gains(rows, bt.amp, w.swapaxes(2, 3))
         g[:, bt.ue_a, :, bt.ue_k] = (
             gram[:, bt.ue_a, :, bt.ue_i]
             * bt.amp[bt.ue_a, :, 0][:, None, :]
@@ -903,7 +848,7 @@ def run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
     """Check every arm's config, then run the table: each label's ResultSet.
 
     An empty table, a bad arm, or an arm that differs from the first in
-    n_drops or in a value that ``draw_drop`` reads fails before the first
+    n_drops or in a value that ``Draw`` reads fails before the first
     drop of any arm. Each drop is drawn once and every arm is evaluated on
     it. Arms with equal configs run once, and each of their labels
     aggregates the shared drops in lower case. A single distinct arm draws
@@ -922,7 +867,7 @@ def run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
             distinct.append(arm_cfg)
     drops = [[] for _ in distinct]
     for d in range(shared.n_drops):
-        drawn = draw_drop(shared, d) if len(distinct) > 1 else None
+        drawn = Draw(shared, d) if len(distinct) > 1 else None
         for arm_cfg, arm_drops in zip(distinct, drops):
             arm_drops.append(run_drop(arm_cfg, d, drawn))
     return {

@@ -3,8 +3,9 @@
 One link, one AP or one UE at a time, with explicit dict maps and plain
 loops: the half-open containment test of a region or cell footprint, the
 view angles and steering vectors, the AP-AP and target channels,
-the correlated RCS draw, the per-AP beams and transmit vectors, the
-detection dictionary with its GLRT and sensing SNR, and the downlink SINR.
+the correlated RCS draw, the per-AP beams and transmit vectors, the law
+stream that runs the bank path on given channels, the detection dictionary
+with its GLRT and sensing SNR, and the downlink SINR.
 The library never calls any of it (tests/test_reference.py checks that no
 ``cfisac`` module grows a name defined here).
 """
@@ -340,6 +341,43 @@ def build_plan(
                 beam = mf_sense_beam(geom, cell_center, ap_positions[m])
             plan.sense_beams[int(m)] = beam
     return plan
+
+
+def law_normals(
+    h: dict[tuple[int, int], np.ndarray],
+    large_scale: np.ndarray,
+    assignment,
+    plan: BeamformingPlan,
+) -> np.ndarray:
+    """One realization's law stream from which a bank arm rebuilds the channels h.
+
+    First h_km / sqrt(g_km) for every served link, ordered by (UE, serving
+    slot), N values each. Then AP by AP in ascending order, for each AP with
+    a bank U (the conjugated comm beams of its served UEs, then its
+    conjugated sensing beam if it senses), min(b_m, N) values per unserved
+    UE in ascending order: L^-1 U h_km / sqrt(g_km) with L the lower
+    Cholesky factor of U U^H, or h_km / sqrt(g_km) where b_m >= N.
+    """
+    values = []
+    for k, aps in enumerate(assignment.serving):
+        for m in aps:
+            values.append(h[(k, int(m))] / math.sqrt(large_scale[k, m]))
+    for m, served in enumerate(assignment.served):
+        served = [int(k) for k in served]
+        rows = [plan.comm_beams[(k, m)].conj() for k in served]
+        if assignment.pointing[m] >= 0:
+            rows.append(plan.sense_beams[m].conj())
+        if not rows:
+            continue
+        bank = np.array(rows)
+        n_ant = bank.shape[1]
+        lower = np.linalg.cholesky(bank @ bank.conj().T) if len(rows) < n_ant else None
+        for k in range(len(assignment.serving)):
+            if k in served:
+                continue
+            h_km = h[(k, m)] if lower is None else np.linalg.solve(lower, bank @ h[(k, m)])
+            values.append(h_km / math.sqrt(large_scale[k, m]))
+    return np.concatenate(values)
 
 
 # --- observables, dictionaries, GLRT and sensing SNR -------------------------

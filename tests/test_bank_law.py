@@ -9,12 +9,12 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cfisac import harness
-from cfisac.channel import complex_normal
+from cfisac.channel import ArrayGeometry, complex_normal
 from cfisac.clustering import build_assignment
 from cfisac.config import ExperimentConfig
 from cfisac.harness import (
+    Draw,
     _law_gains,
-    draw_drop,
     preset_mode_comparison,
     preset_rx_sweep,
     run_arms,
@@ -22,6 +22,7 @@ from cfisac.harness import (
     run_experiment,
 )
 from cfisac.metrics import write_results
+from reference import build_plan, law_normals
 
 SMALL = dict(
     m_aps=10,
@@ -60,7 +61,7 @@ def test_unserved_gain_covariance_at_fixed_bank():
     unit = complex_normal(rng, (b, n_ant))
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     amp = np.array([0.7, 0.7, 1.3])[:, None]
-    normals = draw_drop(ExperimentConfig(n_fading=25), 0).normals(b * n_links // 25, range(25))
+    normals = Draw(ExperimentConfig(n_fading=25), 0).normals(b * n_links // 25, range(25))
     w = np.sqrt(g_km) * normals.reshape(n_links, b).T  # an AP's links, b normals each
     gains, gram = _law_gains(unit, amp, w)
     cov = gains @ gains.conj().T / n_links
@@ -70,13 +71,26 @@ def test_unserved_gain_covariance_at_fixed_bank():
     np.testing.assert_allclose(cov, expected, rtol=0, atol=0.02 * np.abs(expected).max())
 
 
-def test_law_rates_match_dense_rates_in_distribution():
+def test_law_rates_match_dense_rates_in_distribution(monkeypatch):
     # the same layout and banks, 2000 realizations: rates from the law stream
-    # against rates from the full fading tensor (the dense path's draw)
+    # against rates from the full fading tensor (the dense path's draw), which
+    # the bank path reads as the law stream that rebuilds it
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 2000})
     law = run_drop(cfg, 0).rates_bps.ravel()
-    drawn = draw_drop(cfg, 0)
-    drawn.oracle_h = drawn.fading(range(cfg.n_fading))
+    drawn = Draw(cfg, 0)
+    h = drawn.fading(range(cfg.n_fading))
+    layout, gains, schedule = drawn.layout, drawn.gains, drawn.schedule
+    assignment = build_assignment(layout, gains, cfg)
+    geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
+    stream = []
+    for f in range(cfg.n_fading):
+        h_f = {(k, m): h[f, k, m] for k in range(cfg.k_ues) for m in range(cfg.m_aps)}
+        epoch = schedule.epochs[f % schedule.n_epochs]
+        cells = [region.cells[c].center for region, c in zip(layout.regions, epoch)]
+        plan = build_plan(h_f, gains, assignment, geom, layout.aps, cells, cfg.p_max_w)
+        stream.append(law_normals(h_f, gains, assignment, plan))
+    stream = np.array(stream)
+    monkeypatch.setattr(harness.Draw, "normals", lambda draw, count, fs: stream[fs.start : fs.stop])
     dense = run_drop(cfg, 0, drawn).rates_bps.ravel()
     assert not np.array_equal(law, dense)
     assert ks_2samp(law, dense).pvalue > 0.01
@@ -88,7 +102,7 @@ def test_mf_and_zf_share_every_ue_beam_gain(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cores", lambda: 1)  # one downlink call per arm
     outputs = _spy(monkeypatch, harness, "_bank_downlink")
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 6})
-    drawn = draw_drop(cfg, 0)
+    drawn = Draw(cfg, 0)
     run_drop(cfg, 0, drawn)
     run_drop(cfg.replace(beamformer="ZF", k_zf=1), 0, drawn)
     (power_mf, leak_mf, _), (power_zf, leak_zf, _) = outputs
@@ -118,12 +132,12 @@ def test_a_longer_request_extends_the_same_stream():
     # the order of their requests and the blocks that make them
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 5})
     every = range(cfg.n_fading)
-    grown = draw_drop(cfg, 0)
+    grown = Draw(cfg, 0)
     short = grown.normals(7, every).copy()
     grown.normals(50, range(3, 5))
     grown.normals(20, range(0, 3))
     longer = grown.normals(50, every)
-    once = draw_drop(cfg, 0).normals(50, every)
+    once = Draw(cfg, 0).normals(50, every)
     np.testing.assert_array_equal(longer[:, :7], short)
     np.testing.assert_array_equal(longer, once)
     for f in range(cfg.n_fading):
@@ -199,7 +213,7 @@ def test_rank0_tests_have_no_snr(monkeypatch, tmp_path):
     # region 0's transmit APs send nothing: its tests have rank 0, no
     # statistic and a NaN SNR, which the diagnostics count and the medians skip
     cfg = ExperimentConfig(**{**SMALL, "m_aps": 16, "l_regions": 2, "n_drops": 1})
-    drawn = draw_drop(cfg, 0)
+    drawn = Draw(cfg, 0)
     silent = build_assignment(drawn.layout, drawn.gains, cfg).sensing_clusters[0][0]
     allocate = harness.allocate_power
 

@@ -12,7 +12,7 @@ import pytest
 from cfisac import harness
 from cfisac.config import ExperimentConfig
 from cfisac.harness import (
-    draw_drop,
+    Draw,
     preset_mode_comparison,
     run_arms,
     run_drop,
@@ -158,7 +158,7 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
     # copy the prefixes drawn so far, and each realization's stream is
     # seeded once per drop
     cfg = ExperimentConfig(**{**SMALL, "k_ues": 3, "n_fading": 5})
-    drawn = draw_drop(cfg, 0)
+    drawn = Draw(cfg, 0)
     seeded = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(
@@ -173,4 +173,4 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
     )
     assert bank_keys == [[cfg.seed, 0, harness._S_BANK, f] for f in range(cfg.n_fading)]
     every = range(cfg.n_fading)
-    np.testing.assert_array_equal(drawn.normals(96, every), draw_drop(cfg, 0).normals(96, every))
+    np.testing.assert_array_equal(drawn.normals(96, every), Draw(cfg, 0).normals(96, every))

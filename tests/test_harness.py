@@ -29,6 +29,7 @@ from cfisac.harness import (
     _S_SHADOW,
     _S_SYMBOL,
     _DRAW_INPUTS,
+    Draw,
     _DropContext,
     _direct_path,
     _mf_beams,
@@ -36,7 +37,6 @@ from cfisac.harness import (
     _stream,
     _target_echoes,
     calibrate_threshold,
-    draw_drop,
     preset_beamformer_comparison,
     preset_mode_comparison,
     preset_rx_sweep,
@@ -56,6 +56,7 @@ from reference import (
     contains_xy,
     draw_ap_ap_channel,
     glrt_statistic,
+    law_normals,
     rate_bps,
     rcs_pair_covariance,
     sensing_snr,
@@ -122,7 +123,7 @@ class TestRunDrop:
 
     def test_drawn_fading_is_read_only(self):
         # a block's rows and the whole draw alike
-        drawn = draw_drop(ExperimentConfig(**TINY), 0)
+        drawn = Draw(ExperimentConfig(**TINY), 0)
         block, every = range(1, 3), range(TINY["n_fading"])
         for h in (drawn.fading(block), drawn.fading(every)):
             with pytest.raises(ValueError, match="read-only"):
@@ -135,7 +136,7 @@ class TestRunDrop:
         # realization f alone from its stream (seed, drop, purpose, f), scaled by
         # sqrt(gains), whichever block asks for it first
         cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
-        drawn = draw_drop(cfg, 1)
+        drawn = Draw(cfg, 1)
         blocks = {block: drawn.fading(block) for block in (range(3, 5), range(0, 1), range(1, 3))}
         h = drawn.fading(range(cfg.n_fading))
         shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
@@ -157,7 +158,7 @@ class TestRunDrop:
         try:
             for cores in (1, 4, 16):
                 monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-                draw, every = draw_drop(cfg, 0), range(n_fading)
+                draw, every = Draw(cfg, 0), range(n_fading)
                 harness._in_blocks(n_fading, draw.fading)
                 harness._in_blocks(n_fading, lambda fs: draw.normals(9, fs))
                 harness._in_blocks(n_fading, lambda fs: draw.normals(40, fs))
@@ -181,7 +182,7 @@ class TestRunDrop:
         monkeypatch.setattr(harness, "complex_normal", draw)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="realization 4"):
-            harness._in_blocks(cfg.n_fading, draw_drop(cfg, 0).fading)
+            harness._in_blocks(cfg.n_fading, Draw(cfg, 0).fading)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
@@ -286,11 +287,11 @@ class TestRunExperiment:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Every draw_drop and run_drop call the runner makes, in order."""
+        """Every Draw and run_drop call the runner makes, in order."""
         calls = []
         monkeypatch.setattr(
-            "cfisac.harness.draw_drop",
-            lambda cfg, d: calls.append(("draw", d)) or draw_drop(cfg, d),
+            "cfisac.harness.Draw",
+            lambda cfg, d: calls.append(("draw", d)) or Draw(cfg, d),
         )
         monkeypatch.setattr(
             "cfisac.harness.run_drop",
@@ -341,9 +342,9 @@ class TestRunExperiment:
             run_arms({"a": cfg, "b": cfg.replace(n_drops=1)})
         assert calls == []
 
-    def test_draw_inputs_are_what_draw_drop_reads(self):
+    def test_draw_inputs_are_what_draw_reads(self):
         # the runner checks that a table's arms agree on every value the shared
-        # draw reads; that list must be exactly what draw_drop reads
+        # draw reads; that list must be exactly what Draw reads
         read = set()
 
         class Spy:
@@ -355,7 +356,7 @@ class TestRunExperiment:
                 return getattr(self.cfg, name)
 
         for changes in ({}, {"shadowing_enabled": False}, {"bandwidth_matched_cells": True}):
-            draw_drop(Spy(ExperimentConfig(**{**TINY, **changes})), 0)
+            Draw(Spy(ExperimentConfig(**{**TINY, **changes})), 0)
         assert read == set(_DRAW_INPUTS)
 
     def test_beamformer_preset_rejects_large_kzf(self):
@@ -399,6 +400,17 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=next(iter(changes))):
             ExperimentConfig(**changes).validate()
 
+    def test_k_zf_is_checked_for_zf_arms_only(self):
+        # one antenna leaves no ZF dimension, but an MF arm never reads k_zf:
+        # the default k_zf = 1 runs every mode
+        cfg = ExperimentConfig(**{**TINY, "n_antennas": 1, "n_drops": 1, "n_fading": 2})
+        assert cfg.beamformer == "MF" and cfg.k_zf == 1
+        for rs in run_arms(preset_mode_comparison(cfg)).values():
+            assert np.isfinite(rs.rates_bps).all()
+        with pytest.raises(ConfigError, match="k_zf"):
+            cfg.replace(beamformer="ZF").validate()
+        cfg.replace(beamformer="ZF", k_zf=0).validate()
+
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nseed=3  # trailing\n")
         assert cfg.seed == 3
@@ -420,10 +432,10 @@ class TestBatchedPipelineMatchesOps:
         "mode,beamformer,k_zf",
         [("UTC", "MF", 0), ("UTC", "ZF", 1), ("CF", "MF", 0), ("UC", "MF", 0), ("TC", "MF", 0)],
     )
-    def test_single_realization_equivalence(self, mode, beamformer, k_zf):
+    def test_single_realization_equivalence(self, mode, beamformer, k_zf, monkeypatch):
         # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense
-        # beams; every region of two is checked. The bank arms derive their law
-        # draws from this full tensor (w = L^-1 U h / sqrt(g)), so both paths must
+        # beams; every region of two is checked. The bank arms read the law stream
+        # that rebuilds this full tensor (reference.law_normals), so both paths must
         # reproduce the oracle on the same channels
         cfg = ExperimentConfig(
             **{
@@ -452,9 +464,36 @@ class TestBatchedPipelineMatchesOps:
                 for f in range(n_fading)
             ]
         )
-        drawn = draw_drop(cfg, drop)
-        drawn.oracle_h = h
-        dr = run_drop(cfg, drop, drawn)
+        plans = []
+        for f in range(n_fading):
+            epoch = f % schedule.n_epochs
+            cells = [
+                layout.regions[l].cells[schedule.epochs[epoch, l]] for l in range(cfg.l_regions)
+            ]
+            h_dict = {(k, m): h[f, k, m] for k in range(k_ues) for m in range(m_aps)}
+            plan = build_plan(
+                h_dict,
+                gains,
+                assignment,
+                geom,
+                layout.aps,
+                [c.center for c in cells],
+                cfg.p_max_w,
+                beamformer=beamformer,
+                k_zf=k_zf,
+            )
+            plans.append((cells, h_dict, plan))
+        stream = np.array([law_normals(h_f, gains, assignment, plan) for _, h_f, plan in plans])
+        requests = []
+
+        def normals(draw, count, fs):
+            requests.append(count)
+            return stream[fs.start : fs.stop]
+
+        monkeypatch.setattr(harness.Draw, "normals", normals)
+        dr = run_drop(cfg, drop)
+        # a bank arm reads the whole stream, exactly as long as the reference's
+        assert set(requests) == ({stream.shape[1]} if mode in ("UTC", "UC") else set())
         sym = _stream(cfg, drop, _S_SYMBOL)
         x = np.exp(2j * np.pi * sym.random((n_fading, k_ues)))
         x0 = np.exp(2j * np.pi * sym.random((n_fading, m_aps)))
@@ -479,23 +518,7 @@ class TestBatchedPipelineMatchesOps:
             / 10.0
         )
 
-        for f in range(n_fading):
-            epoch = f % schedule.n_epochs
-            cells = [
-                layout.regions[l].cells[schedule.epochs[epoch, l]] for l in range(cfg.l_regions)
-            ]
-            h_dict = {(k, m): h[f, k, m] for k in range(k_ues) for m in range(m_aps)}
-            plan = build_plan(
-                h_dict,
-                gains,
-                assignment,
-                geom,
-                layout.aps,
-                [c.center for c in cells],
-                cfg.p_max_w,
-                beamformer=beamformer,
-                k_zf=k_zf,
-            )
+        for f, (cells, h_dict, plan) in enumerate(plans):
             tx_signals = {
                 int(m): transmit_vector(plan, int(m), {k: x[f, k] for k in range(k_ues)}, x0[f, m])
                 for m in tx_all
@@ -563,14 +586,14 @@ class TestBatchedPipelineMatchesOps:
 
 
 def _drop_context(cfg, drop=0, layout=None, all_cells=False):
-    """The engine's per-drop context and read-only dense fading tensor, from draw_drop.
+    """The engine's per-drop context and read-only dense fading tensor, from Draw.
 
     A given ``layout`` replaces the drawn one; it keeps the drawn APs and UEs,
     so the drawn gains, schedule and fading still belong to it. With
     ``all_cells`` the schedule is the whole sweep, so the context's cell
     tables cover every cell and its cell ids are the global ones.
     """
-    drawn = draw_drop(cfg, drop)
+    drawn = Draw(cfg, drop)
     if layout is None:
         layout = drawn.layout
     else:
@@ -819,6 +842,41 @@ class TestEchoLaw:
         np.testing.assert_allclose(d @ contracted @ d, expected, rtol=1e-10)
         got, want = _normalized(cov, expected)
         np.testing.assert_allclose(got, want, atol=0.02)
+
+    def test_echo_power_convention(self):
+        # one target and one sending transmit AP: the mean echo power at one
+        # receive antenna is the bistatic product sigma g_tx g_rx P |a_tx^H b|^2
+        # |a_rx,0|^2, with every gain a one-way LoS power gain and no 4 pi /
+        # lambda^2: 10 dBsm acts like -17.5 dBsm in the radar equation at 2 GHz
+        cfg = self.CFG
+        drawn = Draw(cfg, 0)
+        layout, target = drawn.layout, drawn.layout.targets[0]
+        assignment = build_assignment(layout, drawn.gains, cfg)
+        ctx = _DropContext(cfg, layout, assignment, drawn.schedule, drawn.gains)
+        m_tx, m_rx = ctx.tx_all[0], ctx.rx_all[0]
+        p_tx = 0.5  # W
+        beam = complex_normal(np.random.default_rng(8), cfg.n_antennas)
+        beam /= np.linalg.norm(beam)
+        s_tx = np.zeros((1, 1, len(ctx.tx_all), cfg.n_antennas), dtype=complex)
+        s_tx[0, 0, 0] = math.sqrt(p_tx) * beam  # transmit AP m_tx alone sends
+        s_tx = np.broadcast_to(s_tx, (1, self.N_DRAWS, *s_tx.shape[2:]))
+        echo = _target_echoes(ctx, s_tx, np.random.default_rng(9))
+        power = np.mean(np.abs(echo[0, :, 0, 0]) ** 2)  # receive AP m_rx, antenna 0
+
+        geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
+        sigma = 10.0 ** (cfg.sigma_rcs_dbsm / 10.0)  # RCS variance, m^2
+        g_tx = _gain(cfg, target, layout.aps[m_tx])
+        g_rx = _gain(cfg, target, layout.aps[m_rx])
+        tx_array_gain = abs(steering_to(geom, layout.aps[m_tx], target).conj() @ beam) ** 2
+        rx_array_gain = abs(steering_to(geom, layout.aps[m_rx], target)[0]) ** 2  # one antenna
+        convention = 1.0  # the radar equation's would be 4 pi / lambda^2
+        expected = convention * sigma * g_tx * g_rx * p_tx * tx_array_gain * rx_array_gain
+        assert rx_array_gain == pytest.approx(1.0, rel=1e-12)
+        assert power == pytest.approx(expected, rel=0.02)
+        # so the radar equation reads the same power at 10 dBsm - 27.5 dB
+        wavelength = 299_792_458.0 / cfg.carrier_hz
+        radar_factor_db = 10 * math.log10(4 * math.pi / wavelength**2)
+        assert cfg.sigma_rcs_dbsm - radar_factor_db == pytest.approx(-17.5, abs=0.05)
 
     def test_snapshots_share_the_reflectivities(self):
         # with two snapshots the cross-snapshot covariance is the Gram u_i^H K_tx u_j

@@ -6,6 +6,7 @@ import pytest
 from cfisac import kernels
 from cfisac.channel import complex_normal
 from cfisac.harness import _bank_downlink, _bank_tables, _mf_beams
+from reference import BeamformingPlan, law_normals, mf_comm_beam
 
 
 def random_problem(rng, n_fading=3, n_ues=5, n_aps=7, n_ant=4, q=2):
@@ -125,9 +126,10 @@ class TestBeamBank:
     """The per-AP bank path against the dense beams it replaces."""
 
     def test_bank_matches_dense_path(self):
-        # derived from a full tensor, the bank path gives the dense kernels'
-        # cross gains, leakage and transmit signals: AP 2 only senses, AP 3 is
-        # idle, AP 1 serves and does not sense, and AP 4's bank has b = N + 1
+        # on the law stream that rebuilds a full tensor, the bank path gives the
+        # dense kernels' cross gains, leakage and transmit signals: AP 2 only
+        # senses, AP 3 is idle, AP 1 serves and does not sense, and AP 4's bank
+        # has b = N + 1
         rng = np.random.default_rng(8)
         n_fading, n_ues, n_aps, n_ant = 4, 7, 6, 3
         serving = [np.array(aps) for aps in ([0, 1], [4], [1, 5], [4, 0], [5], [4, 1], [0])]
@@ -151,12 +153,21 @@ class TestBeamBank:
         w0[:, pointing >= 0] = complex_normal(rng, (n_fading, 3, n_ant))
         w0 /= np.maximum(np.linalg.norm(w0, axis=2, keepdims=True), 1e-300)
         ues = np.repeat(np.arange(n_ues), [len(aps) for aps in serving])
-        h_links = h[:, ues, np.concatenate(serving)]
+        link_aps = np.concatenate(serving)
+        h_links = h[:, ues, link_aps]
 
         x = np.exp(2j * np.pi * rng.random((n_fading, n_ues)))
         x0 = np.exp(2j * np.pi * rng.random((n_fading, n_aps)))
+        normals = []
+        for f in range(n_fading):
+            plan = BeamformingPlan(
+                comm_beams={(k, m): mf_comm_beam(h[f, k, m]) for k, m in zip(ues, link_aps)},
+                sense_beams={m: w0[f, m] for m in np.flatnonzero(pointing >= 0)},
+            )
+            h_f = {(k, m): h[f, k, m] for k in range(n_ues) for m in range(n_aps)}
+            normals.append(law_normals(h_f, gains, ctx.assignment, plan))
         bank = _bank_tables(ctx, n_ant)
-        power, leak, s_tx = _bank_downlink(bank, h_links, w0, None, [(x, x0)], oracle_h=h)
+        power, leak, s_tx = _bank_downlink(bank, h_links, w0, np.array(normals), [(x, x0)])
 
         w0_amp = sqrt_eta0[None, :, None] * w0
         w_conj = _mf_beams(h, amp)

@@ -15,7 +15,7 @@ from cfisac.config import (
     ConfigError,
     ExperimentConfig,
 )
-from cfisac.harness import allocate_power, draw_drop
+from cfisac.harness import Draw, allocate_power
 from cfisac.metrics import empirical_cdf
 from reference import steering_vector, wrap_angle
 
@@ -74,7 +74,6 @@ small_configs = st.builds(
     q_serving=st.integers(1, 7),
     m_tx_per_region=st.integers(1, 7),
     m_rx_per_region=st.integers(1, 7),
-    k_zf=st.just(0),
     n_fading=st.just(1),
 )
 
@@ -89,7 +88,7 @@ def test_validated_config_clusters_every_drop(cfg):
     except ConfigError:
         return
     for drop in (0, 1):
-        drawn = draw_drop(cfg, drop)
+        drawn = Draw(cfg, drop)
         layout, gains = drawn.layout, drawn.gains
         assignment = build_assignment(layout, gains, cfg)
         assert len(assignment.rx_aps) == cfg.m_rx_per_region * cfg.l_regions
