@@ -39,6 +39,9 @@ PINNED = {
     ("UTC", "MF", 0): "27502fd547aadd61ae416d63b59052891a7ae267d35a654101a75dd972c06276",
     ("UTC", "ZF", 2): "4c8f4d44715613b7b1bacabb4e39d3f5841509973ebbb1a162aba1eeca241aa8",
     ("CF", "ZF", 2): "ccd49b5ee4c59175c6aaa2b53fda93fb3f7aa35b2dd7a2eed701093541ef34e8",
+    # at drop 0 its ZF sets have sizes 1, 2 and 3 (12, 11 and 25 APs); recorded
+    # before the ZF beams were batched by annulment size
+    ("UC", "ZF", 3): "f7ad41c92812cbc46c49db6532112942c0d4e8a63f111dcc3204caacaf734b05",
 }
 UC_IN_TABLE = "ca47624ba813bec1c4ce839cc173336b730a585cc1f065f064c5fc70634228ee"
 
