@@ -229,14 +229,21 @@ class _DropContext:
         self.power_dev_max = float(np.max(np.abs(budget[active] - cfg.p_max_w), initial=0.0))
 
         # strongest served UEs per sensing AP, the ZF annulment order; only
-        # APs with a served UE to annul get a ZF set (k_zf <= N - 1 by validate)
-        self.annul = {}
+        # APs with a served UE to annul get a ZF set (k_zf <= N - 1 by validate).
+        # zf_sets holds one (aps (A,), annul (A, a)) pair per set size a, sizes
+        # ascending and APs ascending within a size
+        by_size = {}
         if cfg.beamformer == "ZF" and cfg.k_zf > 0:
             for m in self.sensing_tx:
                 served = assignment.served[m]
                 if len(served):
                     order = np.lexsort((served, -gains[served, m]))
-                    self.annul[int(m)] = served[order[: cfg.k_zf]]
+                    annul = served[order[: cfg.k_zf]]
+                    by_size.setdefault(len(annul), []).append((m, annul))
+        self.zf_sets = [
+            (np.array([m for m, _ in group]), np.array([annul for _, annul in group]))
+            for _, group in sorted(by_size.items())
+        ]
 
 
 def _sense_beams(
@@ -246,7 +253,9 @@ def _sense_beams(
 
     MF beams are the cell-center steering vectors; ZF beams additionally
     project out the annulled served-UE channels (QR basis) before
-    renormalizing, falling back to MF when the projection vanishes. The
+    renormalizing, falling back to MF in each realization where the
+    projection vanishes. The ZF APs run in ``ctx.zf_sets`` groups of one
+    annulment size: one batched QR over (F, A, N, a) per group. The
     channel of link (k, m) is ``h_links[:, link_of[k, m]]``.
     """
     n_fading, _, n_ant = h_links.shape
@@ -256,19 +265,20 @@ def _sense_beams(
     pointing = ctx.assignment.pointing
     tx = ctx.sensing_tx
     w0[:, tx] = ctx.a_cell[epoch_cells[:, pointing[tx]], tx] * inv_sqrt_n
-    for m, annul in ctx.annul.items():
-        diag.zf_beams += n_fading
-        a = ctx.a_cell[epoch_cells[:, pointing[m]], m]  # (F, N) cell-matched steering
-        h_ann = h_links[:, link_of[annul, m]]  # (F, a, N)
-        basis = np.linalg.qr(h_ann.swapaxes(1, 2))[0]  # (F, N, a)
+    for aps, annul in ctx.zf_sets:
+        diag.zf_beams += n_fading * len(aps)
+        a = ctx.a_cell[epoch_cells[:, pointing[aps]], aps]  # (F, A, N) cell-matched steering
+        # C-contiguous, so that the einsums sum each AP's projection in the per-AP order
+        h_ann = np.ascontiguousarray(h_links[:, link_of[annul, aps[:, None]]])  # (F, A, a, N)
+        basis = np.linalg.qr(h_ann.swapaxes(-1, -2))[0]  # (F, A, N, a)
         w = a - np.einsum(
-            "fna,fa->fn", basis, np.einsum("fna,fn->fa", basis.conj(), a), optimize=True
+            "...na,...a->...n", basis, np.einsum("...na,...n->...a", basis.conj(), a), optimize=True
         )
-        norms = np.linalg.norm(w, axis=1)
-        fallback = norms <= ZF_FALLBACK_TOL * math.sqrt(n_ant)
+        norms = np.linalg.norm(w, axis=-1)
+        fallback = norms <= ZF_FALLBACK_TOL * math.sqrt(n_ant)  # (F, A)
         diag.zf_fallbacks += int(fallback.sum())
-        w = np.where(fallback[:, None], a * inv_sqrt_n, w / np.maximum(norms, 1e-300)[:, None])
-        w0[:, m] = w
+        w = np.where(fallback[..., None], a * inv_sqrt_n, w / np.maximum(norms, 1e-300)[..., None])
+        w0[:, aps] = w
         ok = ~fallback
         if ok.any():
             leak = np.abs(np.einsum("fan,fn->fa", h_ann[ok].conj(), w[ok], optimize=True))

@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import threading
@@ -430,13 +431,22 @@ class TestBatchedPipelineMatchesOps:
 
     @pytest.mark.parametrize(
         "mode,beamformer,k_zf",
-        [("UTC", "MF", 0), ("UTC", "ZF", 1), ("CF", "MF", 0), ("UC", "MF", 0), ("TC", "MF", 0)],
+        [
+            ("UTC", "MF", 0),
+            ("UTC", "ZF", 1),
+            ("UTC", "ZF", 2),
+            ("UC", "ZF", 3),
+            ("CF", "MF", 0),
+            ("UC", "MF", 0),
+            ("TC", "MF", 0),
+        ],
     )
     def test_single_realization_equivalence(self, mode, beamformer, k_zf, monkeypatch):
         # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense
         # beams; every region of two is checked. The bank arms read the law stream
         # that rebuilds this full tensor (reference.law_normals), so both paths must
-        # reproduce the oracle on the same channels
+        # reproduce the oracle on the same channels. The ZF arms at k_zf = 2 and 3
+        # annul sets of sizes [1, 2, 2, 2, 2] and [1, 1, 1, 2, 2, 3]
         cfg = ExperimentConfig(
             **{
                 **TINY,
@@ -697,42 +707,98 @@ class TestBeams:
         expected = np.broadcast_to(amp, norms.shape)[served]
         np.testing.assert_allclose(norms[served], expected, rtol=1e-15, atol=0)
 
+    # sizes [1, 2] and [1, 2, 3] on the bank path, [2] on the dense one
+    ZF_ARMS = [("UTC", 2), ("UC", 3), ("CF", 2)]
+
+    @staticmethod
+    def _zf_cfg(mode, k_zf):
+        return ExperimentConfig(
+            **{**TINY, "k_ues": 5, "l_regions": 2, "mode": mode, "beamformer": "ZF", "k_zf": k_zf}
+        )
+
     def test_zf_partial_fallback(self):
         # realizations 1 and 4 give every ZF AP an annulled channel equal to
-        # its cell steering vector, so the projection vanishes there and only
-        # there; the other realizations keep their projected beams
-        cfg = ExperimentConfig(**{**TINY, "beamformer": "ZF", "k_zf": 2, "n_fading": 6})
+        # its cell steering vector, and realization 2 does so only for every
+        # other AP of the largest size group, so the projection vanishes at
+        # exactly those (f, m); every other (f, m) keeps its projected beam
+        cfg = self._zf_cfg("UTC", 2).replace(n_fading=6)
         ctx, h = _drop_context(cfg)
         h = h.copy()  # the drawn tensor is read-only
         epoch_cells = ctx.cell_of[np.arange(cfg.n_fading) % ctx.n_epochs]
-        zf_aps = [m for m, annul in ctx.annul.items() if annul.size > 0]
-        assert zf_aps
-        crafted = [1, 4]
-        for f in crafted:
-            for m in zf_aps:
-                cell = epoch_cells[f, ctx.assignment.pointing[m]]
-                h[f, ctx.annul[m][0], m] = ctx.a_cell[cell, m]
+        annul_of = {int(m): row for aps, annul in ctx.zf_sets for m, row in zip(aps, annul)}
+        largest = max(ctx.zf_sets, key=lambda group: len(group[0]))[0]
+        assert len(largest) >= 3
+        crafted = np.zeros((cfg.n_fading, cfg.m_aps), dtype=bool)
+        crafted[np.ix_([1, 4], list(annul_of))] = True
+        crafted[2, largest[::2]] = True
+        for f, m in zip(*np.nonzero(crafted)):
+            cell = epoch_cells[f, ctx.assignment.pointing[m]]
+            h[f, annul_of[m][0], m] = ctx.a_cell[cell, m]
 
         f, k, m, n = h.shape
         w0, diag = _sense_beams(ctx, h.reshape(f, k * m, n), np.arange(k * m).reshape(k, m), epoch_cells)
 
         n_ant = cfg.n_antennas
-        assert diag.zf_beams == cfg.n_fading * len(zf_aps)
-        assert diag.zf_fallbacks == len(crafted) * len(zf_aps)
-        ok = np.setdiff1d(np.arange(cfg.n_fading), crafted)
+        assert diag.zf_beams == cfg.n_fading * len(annul_of)
+        assert diag.zf_fallbacks == crafted.sum() == 2 * len(annul_of) + len(largest[::2])
         leak_max = 0.0
-        for m in zf_aps:
+        for m, annul in annul_of.items():
             cells = epoch_cells[:, ctx.assignment.pointing[m]]
-            np.testing.assert_array_equal(
-                w0[crafted, m], ctx.a_cell[cells[crafted], m] / math.sqrt(n_ant)
-            )
+            mf = ctx.a_cell[cells, m] / math.sqrt(n_ant)  # (F, N)
+            fell, ok = crafted[:, m], ~crafted[:, m]
+            np.testing.assert_array_equal(w0[fell, m], mf[fell])
             # the fallback beams leak sqrt(N) onto the crafted channel
-            assert np.abs(np.vdot(h[crafted[0], ctx.annul[m][0], m], w0[crafted[0], m])) > 1.0
-            h_ann = h[:, ctx.annul[m], m, :]
+            for f in np.flatnonzero(fell):
+                assert np.abs(np.vdot(h[f, annul[0], m], w0[f, m])) > 1.0
+            # elsewhere the unit-norm projection of the steering vector
+            for f in np.flatnonzero(ok):
+                q = np.linalg.qr(h[f, annul, m].T)[0]
+                w = mf[f] - q @ (q.conj().T @ mf[f])
+                np.testing.assert_allclose(w0[f, m], w / np.linalg.norm(w), rtol=1e-12, atol=1e-14)
+            h_ann = h[:, annul, m, :]
             leak = np.abs(np.einsum("fan,fn->fa", h_ann[ok].conj(), w0[ok, m], optimize=True))
             assert leak.max() < 1e-9
             leak_max = max(leak_max, float(leak.max()))
         assert diag.zf_leakage_max == leak_max
+
+    @pytest.mark.parametrize("mode,k_zf", ZF_ARMS)
+    def test_zf_sets_group_the_strongest_served_ues(self, mode, k_zf):
+        # each sensing AP with a served UE annuls its k_zf strongest served UEs
+        # (ties to the lower index); the sets run by size, then by AP
+        ctx, _ = _drop_context(self._zf_cfg(mode, k_zf))
+        expected = []
+        for m in ctx.sensing_tx:
+            served = ctx.assignment.served[m]
+            strongest = sorted(served, key=lambda k: (-ctx.gains[k, m], k))[:k_zf]
+            if strongest:
+                expected.append((len(strongest), int(m), strongest))
+        got = [
+            (annul.shape[1], int(m), row.tolist())
+            for aps, annul in ctx.zf_sets
+            for m, row in zip(aps, annul)
+        ]
+        assert got == sorted(expected)
+
+    @pytest.mark.parametrize("mode,k_zf", ZF_ARMS)
+    def test_one_qr_per_annulment_size(self, mode, k_zf, monkeypatch):
+        # the ZF APs of one annulment size share one batched QR per block
+        cfg = self._zf_cfg(mode, k_zf)
+        ctx, _ = _drop_context(cfg)
+        served = [len(ctx.assignment.served[m]) for m in ctx.sensing_tx]
+        aps_of_size = collections.Counter(min(n, k_zf) for n in served if n)
+        assert sum(aps_of_size.values()) > len(aps_of_size)
+        qr_shapes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda x: qr_shapes.append(x.shape) or qr(x))
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        run_drop(cfg, 0)
+        # 3 realizations in two blocks, which may run in either order
+        n_ant, blocks = cfg.n_antennas, [2, 1]
+        assert sorted(qr_shapes) == sorted(
+            (n_fading, n_aps, n_ant, size)
+            for n_fading in blocks
+            for size, n_aps in aps_of_size.items()
+        )
 
     def test_direct_bank_matches_scalar_rician(self):
         # at K = 300 dB the scattered part is 1e-15 of the LoS part, so the direct
