@@ -16,13 +16,12 @@ of normals per realization from which each arm draws its served links in
 full and every other link in law through its AP's bank (``_bank_downlink``).
 Arms read prefixes of that one stream, so an arm alone reads the bytes it
 reads in a table. ``run_drop`` runs an arm in one pass over realization
-blocks, one per core the process may use (``taskset`` limits them): each
-block draws or reads its rows of the fading, then runs its sensing beams,
-downlink and transmit signals, and the thread count never changes a byte.
-On a ``cf-mf`` drop (2 cores, BLAS at one thread) the pass takes 28-29 of
-37-38 ms, where the draw, the dense downlink and the transmit signals one
-after the other took 44 of 55-56 ms; a ``utc-mf`` drop takes 23 instead of
-28-29 ms (``BENCH_19.json``).
+blocks, one per core the process may use (``taskset`` limits them). A block
+runs in equal chunks of at most ``CHUNK_BYTES`` of fading rows: each chunk
+draws or reads its rows, then runs its sensing beams, downlink and transmit
+signals. Neither the thread count nor the chunk size changes a byte, and a
+lone arm keeps no row past its chunk: UTC at M=512, K=256 peaks at 340
+instead of 1122 MB, and ``cf-mf`` at 98 instead of 126 MB (``BENCH_22.json``).
 A preset is a table of arms (label -> config), and ``run_arms`` runs any
 table: it draws each drop once and runs each distinct config once on it.
 """
@@ -301,6 +300,11 @@ def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return w_conj
 
 
+# the bytes of fading rows, the dense tensor's or the law stream's, that a
+# realization block holds at once; the lone arms' buffers of finished drops
+CHUNK_BYTES = 8 << 20
+_SPARE_CHUNKS, _SPARE_LOCK = [], threading.Lock()
+
 # every config value that Draw reads: the arms of one table agree on each
 _DRAW_INPUTS = (
     "seed", "n_fading", "m_aps", "k_ues", "t_targets", "l_regions", "n_antennas",
@@ -331,6 +335,9 @@ class Draw:
     threads, so a realization is drawn, and a law prefix copied, by the block
     that first needs it. What they return is read-only, so an arm that
     writes into it raises instead of changing the arms after it.
+
+    A lone arm sets ``chunks``, its buffers by realization block: its rows are
+    drawn afresh into them, each chunk over the last, so none outlives its chunk.
     """
 
     def __init__(self, cfg: ExperimentConfig, drop_index: int):
@@ -351,6 +358,8 @@ class Draw:
         self._reals = np.empty((cfg.n_fading, 0))
         self._homes = [self._reals] * cfg.n_fading
         self._widths = [0] * cfg.n_fading
+        self._sqrt_g = np.sqrt(self.gains)[:, :, None]
+        self.chunks, self._blocks = None, _split(range(cfg.n_fading))
 
     def shared(self, key: tuple, make):
         """A value every arm of the drop reads alike: make() for the first arm that asks.
@@ -362,18 +371,26 @@ class Draw:
             self._shared[key] = make()
         return self._shared[key]
 
+    def _chunk(self, fs: range, row: tuple, dtype) -> np.ndarray:
+        """Rows fs of a lone arm, in the buffer of their block, grown to fit."""
+        b = next(b for b, block in enumerate(self._blocks) if fs.start in block)
+        size = len(fs) * math.prod(row) * np.dtype(dtype).itemsize
+        if b not in self.chunks or self.chunks[b].size < size:
+            self.chunks[b] = np.empty(size, dtype=np.uint8)
+        return self.chunks[b][:size].view(dtype).reshape(len(fs), *row)
+
     def fading(self, fs: range) -> np.ndarray:
         """Realizations fs of the (F, K, M, N) fading tensor, scaled by sqrt(gains)."""
+        keep = self.chunks is None
         with self._lock:
-            if self._h is None:
+            if self._h is None and keep:
                 self._h = np.empty(self._shape, dtype=complex)
-                self._sqrt_g = np.sqrt(self.gains)[:, :, None]
-        for f in fs:
+        rows = self._h[fs.start : fs.stop] if keep else self._chunk(fs, self._shape[1:], complex)
+        for f, row in zip(fs, rows):
             if not self._h_drawn[f]:
                 rng = np.random.default_rng([*self._key, _S_FADING, f])
-                np.multiply(complex_normal(rng, self._shape[1:]), self._sqrt_g, out=self._h[f])
-                self._h_drawn[f] = True
-        rows = self._h[fs.start : fs.stop]
+                np.multiply(complex_normal(rng, self._shape[1:]), self._sqrt_g, out=row)
+                self._h_drawn[f] = keep
         rows.flags.writeable = False
         return rows
 
@@ -384,6 +401,13 @@ class Draw:
         realization copies the values drawn so far and draws only the new
         ones.
         """
+        if self.chunks is not None:
+            reals = self._chunk(fs, (2 * count,), float)
+            for f, row in zip(fs, reals):
+                np.random.default_rng([*self._key, _S_BANK, f]).standard_normal(out=row)
+            reals *= 1.0 / math.sqrt(2.0)
+            reals.flags.writeable = False
+            return reals.view(complex)
         with self._lock:
             if self._reals.shape[1] < 2 * count:
                 self._reals = np.empty((self._shape[0], 2 * count))
@@ -413,26 +437,31 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _split(fs: range, parts: int | None = None) -> list[range]:
+    """fs in ``parts`` near-equal contiguous ranges, by default one per usable core."""
+    parts = parts or min(_usable_cores(), len(fs))
+    edges = [fs.start + len(fs) * i // parts for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def _in_blocks(n_fading: int, fill) -> None:
     """Run fill(block) over contiguous blocks of range(n_fading), one per usable core.
 
     The calling thread runs the first block and a thread pool the others, in
     parallel (numpy's normal fills, ufunc loops and BLAS calls release the
-    GIL). Running a block in the calling thread keeps its temporaries in the
-    allocator's main arena, which the rest of the drop reuses; a pool of one
-    thread per block held about 28 MB more at peak on a ``cf-mf`` run. The
-    pool is closed before this returns, so no thread outlives the call and a
-    later fork inherits none. A realization's bytes never depend on the split.
+    GIL). The calling thread's block keeps its temporaries in the allocator's
+    main arena, which the rest of the drop reuses: 28 MB less at peak on
+    ``cf-mf`` than a pool thread per block. The pool is closed before this
+    returns, so no thread outlives the call and a later fork inherits none.
+    ``run_drop`` splits each block into chunks; no split changes a byte.
     """
-    n_blocks = min(_usable_cores(), n_fading)
-    edges = [n_fading * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    if n_blocks == 1:
+    blocks = _split(range(n_fading))
+    if len(blocks) == 1:
         fill(blocks[0])
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(n_blocks - 1) as pool:
+    with ThreadPoolExecutor(len(blocks) - 1) as pool:
         rest = pool.map(fill, blocks[1:])
         fill(blocks[0])
         list(rest)
@@ -444,12 +473,12 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     ``drawn`` is this drop's ``Draw``; it is drawn here when None.
     When no AP serves more than N UEs the arm takes the bank path and reads
     the law stream (``_bank_downlink``); otherwise the dense fading tensor.
-    Each realization block, one per usable core, reads its rows of the draw,
-    then runs its sensing beams, downlink and every snapshot's transmit
-    signals in one pass; echoes and detection then run on all realizations.
+    Each realization block, one per usable core, runs in chunks: a chunk reads
+    its rows of the draw, then runs its sensing beams, downlink and transmit
+    signals. Echoes and detection then run on all realizations.
     """
     cfg.validate()
-    drawn = Draw(cfg, drop_index) if drawn is None else drawn
+    lone, drawn = drawn is None, drawn or Draw(cfg, drop_index)
     layout, gains = drawn.layout, drawn.gains
     assignment = build_assignment(layout, gains, cfg)
     n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
@@ -469,36 +498,47 @@ def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) 
     bank = _bank_tables(ctx, n_ant) if max(map(len, assignment.served)) <= n_ant else None
     link_of = np.arange(k_ues * m_total).reshape(k_ues, m_total) if bank is None else bank.link_of
 
-    # communication side is snapshot-independent: SINR uses beams and powers
-    power = np.empty((n_fading, k_ues, k_ues))
-    leak = np.empty((n_fading, k_ues))
+    # communication side is snapshot-independent: the SINR reads each UE's
+    # desired power, its row sum of cross-gain powers and its sensing leakage
+    diag_gain, row_sums, leak = np.empty((3, n_fading, k_ues))
     s_tx = np.empty((cfg.n_snapshots, n_fading, m_total, n_ant), dtype=complex)
-    block_diagnostics = []
+    chunk_diagnostics = []
+    # a block runs in equal chunks of at most CHUNK_BYTES of rows; a lone arm
+    # whose blocks split draws them into buffers that later drops reuse
+    row_bytes = 16 * (k_ues * m_total * n_ant if bank is None else bank.n_normals)
+    per_chunk = max(1, CHUNK_BYTES // row_bytes)
+    if lone and per_chunk < max(map(len, _split(range(n_fading)))):
+        with _SPARE_LOCK:
+            drawn.chunks = _SPARE_CHUNKS.pop() if _SPARE_CHUNKS else {}
 
     def run_block(block: range) -> None:
-        fs = slice(block.start, block.stop)
-        block_symbols = [(x[fs], x0[fs]) for x, x0 in symbols]
-        if bank is None:
-            h = drawn.fading(block)
-            h_links = h.reshape(len(block), k_ues * m_total, n_ant)
-        else:
-            # served links in full: the stream's first N normals per link
-            normals = drawn.normals(bank.n_normals, block)
-            z = normals[:, : bank.n_law].reshape(len(block), len(bank.sqrt_g_links), n_ant)
-            h_links = z * bank.sqrt_g_links
-        w0, diag = _sense_beams(ctx, h_links, link_of, epoch_cells[fs])
-        if bank is None:
-            out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, block_symbols)
-        else:
-            out = _bank_downlink(bank, h_links, w0, normals, block_symbols)
-        power[fs], leak[fs], s_tx[:, fs] = out
-        block_diagnostics.append(diag)
+        for chunk in _split(block, -(-len(block) // per_chunk)):
+            fs = slice(chunk.start, chunk.stop)
+            chunk_symbols = [(x[fs], x0[fs]) for x, x0 in symbols]
+            if bank is None:
+                h = drawn.fading(chunk)
+                h_links = h.reshape(len(chunk), k_ues * m_total, n_ant)
+            else:
+                # served links in full: the stream's first N normals per link
+                normals = drawn.normals(bank.n_normals, chunk)
+                z = normals[:, : bank.n_law].reshape(len(chunk), len(bank.sqrt_g_links), n_ant)
+                h_links = z * bank.sqrt_g_links
+            w0, diag = _sense_beams(ctx, h_links, link_of, epoch_cells[fs])
+            if bank is None:
+                out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, chunk_symbols)
+            else:
+                out = _bank_downlink(bank, h_links, w0, normals, chunk_symbols)
+            power = np.ascontiguousarray(out[0])
+            diag_gain[fs], row_sums[fs] = np.einsum("fkk->fk", power), power.sum(axis=2)
+            leak[fs], s_tx[:, fs] = out[1:]
+            chunk_diagnostics.append(diag)
 
     _in_blocks(n_fading, run_block)
-    diagnostics = functools.reduce(DropDiagnostics.merge, block_diagnostics)
+    if drawn.chunks is not None:  # a lone arm's buffers, for a later drop
+        _SPARE_CHUNKS.append(drawn.chunks)
+    diagnostics = functools.reduce(DropDiagnostics.merge, chunk_diagnostics)
 
-    diag_gain = np.einsum("fkk->fk", power)
-    interference = power.sum(axis=2) - diag_gain
+    interference = row_sums - diag_gain
     sinr = diag_gain / (interference + leak + sigma2)
     rates = cfg.bandwidth_hz * np.log2(1.0 + sinr)
 

@@ -1,10 +1,12 @@
 """One pass per realization block: an arm's bytes do not depend on how the
-realizations are split over the cores."""
+realizations are split over the cores, nor on how a block is split into
+chunks of rows."""
 
 import hashlib
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +102,12 @@ def test_each_arm_takes_its_downlink_path(arm, monkeypatch):
     assert set(calls) == {"_bank_downlink" if arm.startswith("bank") else "_dense_downlink"}
 
 
+def _assert_same(got, expected):
+    for name in FIELDS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+    assert got.diagnostics == expected.diagnostics
+
+
 @pytest.mark.parametrize("n_fading", [1, 3, 7])
 @pytest.mark.parametrize("arm", list(ARMS))
 def test_outputs_do_not_depend_on_the_core_count(arm, n_fading, monkeypatch):
@@ -115,9 +123,7 @@ def test_outputs_do_not_depend_on_the_core_count(arm, n_fading, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for got in results[1:]:
-        for name in FIELDS:
-            np.testing.assert_array_equal(getattr(got, name), getattr(results[0], name))
-        assert got.diagnostics == results[0].diagnostics
+        _assert_same(got, results[0])
 
 
 @pytest.mark.parametrize("arm", list(ARMS))
@@ -177,3 +183,116 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
     assert bank_keys == [[cfg.seed, 0, harness._S_BANK, f] for f in range(cfg.n_fading)]
     every = range(cfg.n_fading)
     np.testing.assert_array_equal(drawn.normals(96, every), Draw(cfg, 0).normals(96, every))
+
+
+def _row_bytes(cfg: ExperimentConfig, monkeypatch) -> int:
+    """Bytes of one realization's fading rows: the dense tensor's or the law stream's."""
+    counts = []
+    normals = Draw.normals
+    monkeypatch.setattr(
+        Draw, "normals", lambda draw, count, fs: counts.append(count) or normals(draw, count, fs)
+    )
+    run_drop(cfg, 0)
+    monkeypatch.setattr(Draw, "normals", normals)
+    return 16 * (counts[0] if counts else cfg.k_ues * cfg.m_aps * cfg.n_antennas)
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_outputs_do_not_depend_on_the_chunk_size(arm, cores, monkeypatch):
+    # chunks of 1 and 2 realizations and of a whole block, as a lone arm
+    # (chunk buffers reused across chunks and drops) and as the table's
+    # second arm (rows the Draw keeps)
+    cfg = _cfg(arm, 7)
+    row_bytes = _row_bytes(cfg, monkeypatch)
+    chunks = []
+    sense_beams = harness._sense_beams
+    monkeypatch.setattr(
+        harness,
+        "_sense_beams",
+        lambda ctx, h, *rest: chunks.append(len(h)) or sense_beams(ctx, h, *rest),
+    )
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    results = []
+    try:
+        for per_chunk in (7, 1, 2):
+            monkeypatch.setattr(harness, "CHUNK_BYTES", per_chunk * row_bytes)
+            chunks.clear()
+            lone = run_drop(cfg, 0)
+            assert sum(chunks) == cfg.n_fading and max(chunks) == min(per_chunk, -(-7 // cores))
+            drawn = Draw(cfg, 0)
+            run_drop(_cfg("dense-MF" if arm.startswith("bank") else "bank-MF", 7), 0, drawn)
+            results += [lone, run_drop(cfg, 0, drawn)]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        _assert_same(got, results[0])
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_a_table_does_not_depend_on_the_chunk_size(cores, monkeypatch):
+    cfg = ExperimentConfig(**{**SMALL, "n_fading": 7, "n_drops": 2})
+    dense_rows = 16 * cfg.k_ues * cfg.m_aps * cfg.n_antennas
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    tables = []
+    for budget in (1 << 40, 1, 2 * dense_rows):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        tables.append(run_arms(preset_mode_comparison(cfg)))
+    for table in tables[1:]:
+        for mode, rs in table.items():
+            _assert_same(rs, tables[0][mode])
+
+
+def test_concurrent_lone_arms_keep_their_bytes(monkeypatch):
+    # two threads run lone arms at once, each block in chunks of one
+    # realization: each run_drop takes its own chunk buffers
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+    work = [(_cfg(arm, 7), d) for arm in ("bank-ZF", "dense-ZF") for d in range(3)]
+    expected = [run_drop(cfg, d) for cfg, d in work]
+    got = [None] * len(work)
+
+    def run(i):
+        got[i] = run_drop(*work[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for pair in ((0, 3), (1, 4), (2, 5)):
+            threads = [threading.Thread(target=run, args=(i,)) for i in pair]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for g, e in zip(got, expected):
+        _assert_same(g, e)
+
+
+@pytest.mark.parametrize("mode", ["UTC", "CF"])
+def test_peak_memory_is_flat_in_the_fading_count(mode, monkeypatch):
+    # chunks of one realization: the rows, beams and cross gains of a chunk
+    # do not grow with F, so the drop's peak grows by what it keeps for every
+    # realization. 250 m cells give 4 inspected cells per region at both F, so
+    # the cell tables match. Without targets the echo stage holds no
+    # per-target projections, which this bound does not count.
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    peaks = {}
+    for n_fading in (8, 64):
+        cfg = ExperimentConfig(mode=mode, n_fading=n_fading, t_targets=0, cell_extent_m=250.0)
+        run_drop(cfg, 0)  # the chunk buffers exist from here on
+        tracemalloc.start()
+        try:
+            run_drop(cfg, 0)
+            peaks[n_fading] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # per realization: each snapshot's symbols, unit noise and transmit
+    # signals, the transmit APs' copy of the signals and the echoes at the
+    # receive APs (one more M N between them), and the SINR terms and rates
+    signals = 16 * cfg.n_snapshots * cfg.m_aps * cfg.n_antennas
+    kept = 16 * cfg.n_snapshots * (cfg.k_ues + cfg.m_aps) + 3 * signals + 4 * 8 * cfg.k_ues
+    assert peaks[64] - peaks[8] <= 1.1 * (64 - 8) * kept
