@@ -15,6 +15,7 @@ from cfisac import harness
 from cfisac.config import ExperimentConfig
 from cfisac.harness import (
     Draw,
+    preset_beamformer_comparison,
     preset_mode_comparison,
     run_arms,
     run_drop,
@@ -45,7 +46,21 @@ PINNED = {
     # before the ZF beams were batched by annulment size
     ("UC", "ZF", 3): "f7ad41c92812cbc46c49db6532112942c0d4e8a63f111dcc3204caacaf734b05",
 }
-UC_IN_TABLE = "ca47624ba813bec1c4ce839cc173336b730a585cc1f065f064c5fc70634228ee"
+# every arm of the mode and beamformer tables at the same seed and sizes,
+# recorded while each arm of a table still read rows that its Draw kept
+IN_TABLE = {
+    "modes": {
+        "UTC": PINNED["UTC", "MF", 0],
+        "UC": "ca47624ba813bec1c4ce839cc173336b730a585cc1f065f064c5fc70634228ee",
+        "TC": "17aea3ab38b26881859438d6350be2839fea9744a919e7c5dad80a8a15aaa311",
+        "CF": "7f61ec0ce9d38be7605fb5c08301542204f0637303dc218080082932f12e093a",
+    },
+    "beamformers": {
+        "mf": PINNED["UTC", "MF", 0],
+        "zf-k1": "6b0e27f174b64ea2b21d23ce8bb6272d8cf300581be6811ac4d88f91f8ef1f60",
+        "zf-k2": PINNED["UTC", "ZF", 2],
+    },
+}
 
 
 def _pinned_cfg(**changes) -> ExperimentConfig:
@@ -59,9 +74,15 @@ def test_arms_keep_their_bytes(mode, beamformer, k_zf):
 
 
 def test_uc_extends_the_utc_stream_and_keeps_its_bytes():
-    # UTC runs first in the table and UC reads a longer prefix of its law stream
-    arms = run_arms(preset_mode_comparison(_pinned_cfg()))
-    assert _digest(arms["UC"]) == UC_IN_TABLE
+    # UC reads a longer prefix of UTC's law stream, TC and CF the dense rows,
+    # and the ZF arms the MF arm's law stream: each keeps its bytes in a table
+    tables = {
+        "modes": preset_mode_comparison(_pinned_cfg()),
+        "beamformers": preset_beamformer_comparison(_pinned_cfg(), [1, 2]),
+    }
+    for name, table in tables.items():
+        got = {label: _digest(rs) for label, rs in run_arms(table).items()}
+        assert got == IN_TABLE[name], name
 
 
 # K = 6 UEs on N = 4 antennas: UTC caps every AP at N UEs (bank path), CF
