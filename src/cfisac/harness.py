@@ -8,22 +8,22 @@ reductions run through :mod:`cfisac.kernels`.
 Random streams are derived from (seed, drop, purpose) tuples, so drops are
 order-independent and experiment arms that share a seed see identical
 layouts, shadowing, schedules, symbols and noise (common random numbers).
-``Draw`` is the draw a drop's arms share and ``run_drop`` evaluates one
-arm on it. Its fading comes in two forms, keyed by (seed, drop, purpose,
-realization) and drawn on first use: the dense (F, K, M, N) tensor for arms
-on the dense downlink path, and for bank-path arms (UC/UTC) a flat stream
-of normals per realization from which each arm draws its served links in
-full and every other link in law through its AP's bank (``_bank_downlink``).
-Arms read prefixes of that one stream, so an arm alone reads the bytes it
-reads in a table. ``run_drop`` runs an arm in one pass over realization
+A preset is a table of arms (label -> config); ``run_arms`` runs any table
+drop by drop, and ``run_drop`` is a table of one arm. ``Draw`` holds what a
+drop's arms share: layout, gains and schedule. The fading rows come in two
+forms, realization f from its own stream (seed, drop, purpose, f): the dense
+(K, M, N) channels for arms on the dense downlink path, and for bank-path
+arms (UC/UTC) a flat stream of normals from which each arm draws its served
+links in full and every other link in law through its AP's bank
+(``_bank_downlink``). A table runs all its arms in one pass over realization
 blocks, one per core the process may use (``taskset`` limits them). A block
-runs in equal chunks of at most ``CHUNK_BYTES`` of fading rows: each chunk
-draws or reads its rows, then runs its sensing beams, downlink and transmit
-signals. Neither the thread count nor the chunk size changes a byte, and a
-lone arm keeps no row past its chunk: UTC at M=512, K=256 peaks at 340
-instead of 1122 MB, and ``cf-mf`` at 98 instead of 126 MB (``BENCH_22.json``).
-A preset is a table of arms (label -> config), and ``run_arms`` runs any
-table: it draws each drop once and runs each distinct config once on it.
+runs in equal chunks of at most ``CHUNK_BYTES`` of rows: each chunk draws
+its rows once into the block's pooled buffer, the dense rows if an arm needs
+them and the law stream up to the longest bank arm's, and every arm then runs
+its sensing beams, downlink and transmit signals on them. Each arm reads a
+prefix of the law stream, so it reads the same bytes alone and in any table.
+Neither the thread count nor the chunk size changes a byte, and no row
+outlives its chunk (``BENCH_22.json``, ``BENCH_23.json``).
 """
 
 from __future__ import annotations
@@ -300,12 +300,13 @@ def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return w_conj
 
 
-# the bytes of fading rows, the dense tensor's or the law stream's, that a
-# realization block holds at once; the lone arms' buffers of finished drops
+# the bytes of fading rows, the dense tensor's and the law stream's, that a
+# realization block holds at once; the blocks' row buffers of finished passes
 CHUNK_BYTES = 8 << 20
 _SPARE_CHUNKS, _SPARE_LOCK = [], threading.Lock()
 
-# every config value that Draw reads: the arms of one table agree on each
+# every config value that the shared draw and the shared rows read: the arms
+# of one table agree on each
 _DRAW_INPUTS = (
     "seed", "n_fading", "m_aps", "k_ues", "t_targets", "l_regions", "n_antennas",
     "area_side_m", "ap_height_m", "ue_height_m", "target_height_min_m",
@@ -314,30 +315,31 @@ _DRAW_INPUTS = (
 )
 
 
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    """A read-only view of rows, which stay writable for the next chunk."""
+    view = rows.view()
+    view.flags.writeable = False
+    return view
+
+
 class Draw:
-    """The draw every arm of a drop shares: layout, gains, schedule and fading.
+    """What every arm of a drop shares: layout, gains, schedule and ``shared`` values.
 
     ``layout``, ``gains`` (shadowed UE-AP gains) and ``schedule`` are drawn
-    at once. The fading comes in two forms, drawn realization by realization
-    on first use and kept for the drop's later arms:
+    at once. The fading rows are drawn on request into a buffer the caller
+    owns, each realization f from its own stream, and come back read-only:
 
-    - ``fading(fs)``, realizations fs of the (F, K, M, N) tensor of every link
-      from the streams (seed, drop, _S_FADING, f), scaled by sqrt(gains), for
-      dense-path arms;
-    - ``normals(count, fs)``, the first ``count`` CN(0, 1) values of each
-      realization's law stream (seed, drop, _S_BANK, f), (F, count), for
-      bank-path arms: N per served link by (UE, serving slot), then
-      min(b_m, N) per unserved link, AP by AP (``_bank_downlink``). A longer
-      request extends the streams, so every arm reads a prefix of the same
-      numbers and an arm alone reads the bytes it reads inside a table.
+    - ``fading(fs, out)``, realizations fs of the (F, K, M, N) tensor of every
+      link from the streams (seed, drop, _S_FADING, f), scaled by sqrt(gains),
+      for dense-path arms;
+    - ``normals(fs, out)``, the first ``out.shape[1]`` CN(0, 1) values of each
+      realization's law stream (seed, drop, _S_BANK, f), for bank-path arms:
+      N per served link by (UE, serving slot), then min(b_m, N) per unserved
+      link, AP by AP (``_bank_downlink``). A shorter ``out`` holds a prefix of
+      a longer one's values, so an arm reads the same bytes alone and in a
+      table.
 
-    An arm's realization blocks ask for their own rows from their own
-    threads, so a realization is drawn, and a law prefix copied, by the block
-    that first needs it. What they return is read-only, so an arm that
-    writes into it raises instead of changing the arms after it.
-
-    A lone arm sets ``chunks``, its buffers by realization block: its rows are
-    drawn afresh into them, each chunk over the last, so none outlives its chunk.
+    It keeps no row: the caller draws each chunk over the last.
     """
 
     def __init__(self, cfg: ExperimentConfig, drop_index: int):
@@ -349,17 +351,6 @@ class Draw:
         )
         self._shared = {}
         self._key = (cfg.seed, drop_index)
-        self._shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
-        self._lock = threading.Lock()  # guards the allocations the blocks share
-        self._h = None
-        self._h_drawn = [False] * cfg.n_fading
-        self._rngs = [None] * cfg.n_fading
-        # the law streams' reals: realization f's first _widths[f] live in _homes[f]
-        self._reals = np.empty((cfg.n_fading, 0))
-        self._homes = [self._reals] * cfg.n_fading
-        self._widths = [0] * cfg.n_fading
-        self._sqrt_g = np.sqrt(self.gains)[:, :, None]
-        self.chunks, self._blocks = None, _split(range(cfg.n_fading))
 
     def shared(self, key: tuple, make):
         """A value every arm of the drop reads alike: make() for the first arm that asks.
@@ -371,63 +362,21 @@ class Draw:
             self._shared[key] = make()
         return self._shared[key]
 
-    def _chunk(self, fs: range, row: tuple, dtype) -> np.ndarray:
-        """Rows fs of a lone arm, in the buffer of their block, grown to fit."""
-        b = next(b for b, block in enumerate(self._blocks) if fs.start in block)
-        size = len(fs) * math.prod(row) * np.dtype(dtype).itemsize
-        if b not in self.chunks or self.chunks[b].size < size:
-            self.chunks[b] = np.empty(size, dtype=np.uint8)
-        return self.chunks[b][:size].view(dtype).reshape(len(fs), *row)
+    def fading(self, fs: range, out: np.ndarray) -> np.ndarray:
+        """Realizations fs of the fading tensor scaled by sqrt(gains), in out (len(fs), K, M, N)."""
+        sqrt_g = np.sqrt(self.gains)[:, :, None]
+        for f, row in zip(fs, out):
+            rng = np.random.default_rng([*self._key, _S_FADING, f])
+            np.multiply(complex_normal(rng, row.shape), sqrt_g, out=row)
+        return _read_only(out)
 
-    def fading(self, fs: range) -> np.ndarray:
-        """Realizations fs of the (F, K, M, N) fading tensor, scaled by sqrt(gains)."""
-        keep = self.chunks is None
-        with self._lock:
-            if self._h is None and keep:
-                self._h = np.empty(self._shape, dtype=complex)
-        rows = self._h[fs.start : fs.stop] if keep else self._chunk(fs, self._shape[1:], complex)
-        for f, row in zip(fs, rows):
-            if not self._h_drawn[f]:
-                rng = np.random.default_rng([*self._key, _S_FADING, f])
-                np.multiply(complex_normal(rng, self._shape[1:]), self._sqrt_g, out=row)
-                self._h_drawn[f] = keep
-        rows.flags.writeable = False
-        return rows
-
-    def normals(self, count: int, fs: range) -> np.ndarray:
-        """(len(fs), count) CN(0, 1): standard normal pairs (re, im) scaled by 1/sqrt(2).
-
-        A longer request than the last one makes room for it, then each
-        realization copies the values drawn so far and draws only the new
-        ones.
-        """
-        if self.chunks is not None:
-            reals = self._chunk(fs, (2 * count,), float)
-            for f, row in zip(fs, reals):
-                np.random.default_rng([*self._key, _S_BANK, f]).standard_normal(out=row)
-            reals *= 1.0 / math.sqrt(2.0)
-            reals.flags.writeable = False
-            return reals.view(complex)
-        with self._lock:
-            if self._reals.shape[1] < 2 * count:
-                self._reals = np.empty((self._shape[0], 2 * count))
-            reals = self._reals
-        scale = 1.0 / math.sqrt(2.0)
-        for f in fs:
-            drawn = self._widths[f]
-            if self._homes[f] is not reals:
-                reals[f, :drawn] = self._homes[f][f, :drawn]
-                self._homes[f] = reals
-            if drawn < 2 * count:
-                if self._rngs[f] is None:
-                    self._rngs[f] = np.random.default_rng([*self._key, _S_BANK, f])
-                new = reals[f, drawn : 2 * count]
-                self._rngs[f].standard_normal(out=new)
-                new *= scale
-                self._widths[f] = 2 * count
-        normals = reals[fs.start : fs.stop, : 2 * count].view(complex)
-        normals.flags.writeable = False
-        return normals
+    def normals(self, fs: range, out: np.ndarray) -> np.ndarray:
+        """CN(0, 1) in out (len(fs), count): standard normal pairs (re, im) scaled by 1/sqrt(2)."""
+        reals = out.view(np.float64)
+        for f, row in zip(fs, reals):
+            np.random.default_rng([*self._key, _S_BANK, f]).standard_normal(out=row)
+        reals *= 1.0 / math.sqrt(2.0)
+        return _read_only(out)
 
 
 def _usable_cores() -> int:
@@ -453,7 +402,7 @@ def _in_blocks(n_fading: int, fill) -> None:
     main arena, which the rest of the drop reuses: 28 MB less at peak on
     ``cf-mf`` than a pool thread per block. The pool is closed before this
     returns, so no thread outlives the call and a later fork inherits none.
-    ``run_drop`` splits each block into chunks; no split changes a byte.
+    ``_run_table`` splits each block into chunks; no split changes a byte.
     """
     blocks = _split(range(n_fading))
     if len(blocks) == 1:
@@ -467,118 +416,164 @@ def _in_blocks(n_fading: int, fill) -> None:
         list(rest)
 
 
-def run_drop(cfg: ExperimentConfig, drop_index: int, drawn: Draw | None = None) -> DropResult:
-    """Simulate one arm of a drop: clustering, then the batched fading sweep.
-
-    ``drawn`` is this drop's ``Draw``; it is drawn here when None.
-    When no AP serves more than N UEs the arm takes the bank path and reads
-    the law stream (``_bank_downlink``); otherwise the dense fading tensor.
-    Each realization block, one per usable core, runs in chunks: a chunk reads
-    its rows of the draw, then runs its sensing beams, downlink and transmit
-    signals. Echoes and detection then run on all realizations.
-    """
+def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
+    """Simulate one arm of a drop: a table of this arm alone (``_run_table``)."""
     cfg.validate()
-    lone, drawn = drawn is None, drawn or Draw(cfg, drop_index)
-    layout, gains = drawn.layout, drawn.gains
-    assignment = build_assignment(layout, gains, cfg)
-    n_fading, k_ues, m_total, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
-    sigma2 = cfg.sigma_z2_w
+    return _run_table([cfg], drop_index)[0]
 
-    cells = drawn.shared(
-        ("cells", cfg.spacing_wavelengths), lambda: _CellTables(cfg, layout, drawn.schedule)
-    )
-    ctx = _DropContext(cfg, layout, assignment, drawn.schedule, gains, cells)
-    # one scan epoch per fading realization, cycling through the sweep
-    epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) cell ids
-    # every arm of the drop reads the same symbols and unit noise
-    symbols, unit_noise = drawn.shared(
-        ("symbols, noise", cfg.n_snapshots), lambda: _symbols_and_noise(cfg, drop_index)
-    )
 
-    bank = _bank_tables(ctx, n_ant) if max(map(len, assignment.served)) <= n_ant else None
-    link_of = np.arange(k_ues * m_total).reshape(k_ues, m_total) if bank is None else bank.link_of
+def _dense_row(cfg: ExperimentConfig) -> tuple[int, int, int]:
+    """(K, M, N): a realization's dense fading rows, which every arm of a table reads."""
+    return cfg.k_ues, cfg.m_aps, cfg.n_antennas
 
-    # communication side is snapshot-independent: the SINR reads each UE's
-    # desired power, its row sum of cross-gain powers and its sensing leakage
-    diag_gain, row_sums, leak = np.empty((3, n_fading, k_ues))
-    s_tx = np.empty((cfg.n_snapshots, n_fading, m_total, n_ant), dtype=complex)
-    chunk_diagnostics = []
-    # a block runs in equal chunks of at most CHUNK_BYTES of rows; a lone arm
-    # whose blocks split draws them into buffers that later drops reuse
-    row_bytes = 16 * (k_ues * m_total * n_ant if bank is None else bank.n_normals)
-    per_chunk = max(1, CHUNK_BYTES // row_bytes)
-    if lone and per_chunk < max(map(len, _split(range(n_fading)))):
-        with _SPARE_LOCK:
-            drawn.chunks = _SPARE_CHUNKS.pop() if _SPARE_CHUNKS else {}
+
+def _run_table(cfgs: list[ExperimentConfig], drop_index: int) -> list[DropResult]:
+    """Run the distinct arms cfgs of a table on one drop, in one pass.
+
+    The arms agree on every ``_DRAW_INPUTS`` value. Each realization block,
+    one per usable core, runs in equal chunks of at most ``CHUNK_BYTES`` of
+    rows. A chunk draws its rows once, the dense rows if an arm takes the
+    dense path and the law stream up to the longest bank arm's
+    ``n_normals``, into a buffer that its block takes from the process pool
+    and returns to it. Every arm then runs its chunk on those rows.
+    """
+    drawn = Draw(cfgs[0], drop_index)
+    arms = [_Arm(cfg, drop_index, drawn) for cfg in cfgs]
+    shape = _dense_row(cfgs[0])
+    n_dense = math.prod(shape) if any(arm.bank is None for arm in arms) else 0
+    n_law = max((arm.bank.n_normals for arm in arms if arm.bank is not None), default=0)
+    per_chunk = max(1, CHUNK_BYTES // (16 * (n_dense + n_law)))
 
     def run_block(block: range) -> None:
+        with _SPARE_LOCK:
+            rows = _SPARE_CHUNKS.pop() if _SPARE_CHUNKS else np.empty(0, dtype=complex)
         for chunk in _split(block, -(-len(block) // per_chunk)):
-            fs = slice(chunk.start, chunk.stop)
-            chunk_symbols = [(x[fs], x0[fs]) for x, x0 in symbols]
-            if bank is None:
-                h = drawn.fading(chunk)
-                h_links = h.reshape(len(chunk), k_ues * m_total, n_ant)
-            else:
-                # served links in full: the stream's first N normals per link
-                normals = drawn.normals(bank.n_normals, chunk)
-                z = normals[:, : bank.n_law].reshape(len(chunk), len(bank.sqrt_g_links), n_ant)
-                h_links = z * bank.sqrt_g_links
-            w0, diag = _sense_beams(ctx, h_links, link_of, epoch_cells[fs])
-            if bank is None:
-                out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, chunk_symbols)
-            else:
-                out = _bank_downlink(bank, h_links, w0, normals, chunk_symbols)
-            power = np.ascontiguousarray(out[0])
-            diag_gain[fs], row_sums[fs] = np.einsum("fkk->fk", power), power.sum(axis=2)
-            leak[fs], s_tx[:, fs] = out[1:]
-            chunk_diagnostics.append(diag)
+            n = len(chunk)
+            if len(rows) < n * (n_dense + n_law):
+                rows = np.empty(n * (n_dense + n_law), dtype=complex)
+            dense, law = rows[: n * n_dense], rows[n * n_dense : n * (n_dense + n_law)]
+            h = drawn.fading(chunk, dense.reshape(n, *shape)) if n_dense else None
+            normals = drawn.normals(chunk, law.reshape(n, n_law)) if n_law else None
+            for arm in arms:
+                arm.run_chunk(chunk, h, normals)
+        with _SPARE_LOCK:
+            _SPARE_CHUNKS.append(rows)
 
-    _in_blocks(n_fading, run_block)
-    if drawn.chunks is not None:  # a lone arm's buffers, for a later drop
-        _SPARE_CHUNKS.append(drawn.chunks)
-    diagnostics = functools.reduce(DropDiagnostics.merge, chunk_diagnostics)
+    _in_blocks(cfgs[0].n_fading, run_block)
+    return [arm.finish() for arm in arms]
 
-    interference = row_sums - diag_gain
-    sinr = diag_gain / (interference + leak + sigma2)
-    rates = cfg.bandwidth_hz * np.log2(1.0 + sinr)
 
-    # the echoes of one realization share its reflectivities and direct
-    # channels across snapshots
-    s_tx_p = s_tx[:, :, ctx.tx_all]  # (J, F, P, N) of the transmit APs
-    y = _target_echoes(ctx, s_tx_p, _stream(cfg, drop_index, _S_RCS))
-    y += math.sqrt(sigma2) * unit_noise[:, :, ctx.rx_all]
-    if cfg.direct_residual > 0.0:
-        direct = _direct_path(cfg, ctx, s_tx_p, _stream(cfg, drop_index, _S_DIRECT))
-        y += cfg.direct_residual * direct
+class _Arm:
+    """One arm on one drop: setup, the work of each chunk of rows, and finish.
 
-    stat = ranks = snr_lin = 0
-    for s_j, y_j in zip(s_tx, y):
-        stat_s, ranks_s, snr_s = _detect(cfg, ctx, epoch_cells, s_j, y_j)
-        stat, ranks, snr_lin = stat + stat_s, ranks + ranks_s, snr_lin + snr_s
+    The setup clusters the drop and builds its context. When no AP serves
+    more than N UEs the arm takes the bank path, with ``bank`` its tables,
+    and reads the law stream (``_bank_downlink``); otherwise ``bank`` is None
+    and it reads the dense rows. ``run_chunk`` runs a chunk's sensing beams,
+    downlink and transmit signals, and ``finish`` the SINR, echoes and
+    detection of all realizations.
+    """
 
-    snr_lin /= cfg.n_snapshots
-    thresholds = calibrate_threshold(np.maximum(ranks, 1), sigma2, cfg.pfa_target)
-    decisions = stat > thresholds
-    truths = ctx.truth_cell[epoch_cells]
-    # a rank-0 test (its cluster's transmit APs send nothing) has no SNR
-    dead = ranks == 0
-    diagnostics.rank0_tests = int(dead.sum())
-    with np.errstate(divide="ignore"):
-        snr_db = np.where(dead, np.nan, 10.0 * np.log10(snr_lin))
+    def __init__(self, cfg: ExperimentConfig, drop_index: int, drawn: Draw):
+        self.cfg, self.drop_index = cfg, drop_index
+        layout, n_fading, n_ant = drawn.layout, cfg.n_fading, cfg.n_antennas
+        assignment = build_assignment(layout, drawn.gains, cfg)
+        cells = drawn.shared(
+            ("cells", cfg.spacing_wavelengths), lambda: _CellTables(cfg, layout, drawn.schedule)
+        )
+        self.ctx = ctx = _DropContext(cfg, layout, assignment, drawn.schedule, drawn.gains, cells)
+        # one scan epoch per fading realization, cycling through the sweep
+        self.epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) cell ids
+        # every arm of the drop reads the same symbols and unit noise
+        self.symbols, self.unit_noise = drawn.shared(
+            ("symbols, noise", cfg.n_snapshots), lambda: _symbols_and_noise(cfg, drop_index)
+        )
+        k_ues, m_total = ctx.amp.shape
+        self.bank = _bank_tables(ctx, n_ant) if max(map(len, assignment.served)) <= n_ant else None
+        self.link_of = (
+            np.arange(k_ues * m_total).reshape(k_ues, m_total)
+            if self.bank is None
+            else self.bank.link_of
+        )
+        # communication side is snapshot-independent: the SINR reads each UE's
+        # desired power, its row sum of cross-gain powers and its sensing leakage
+        self.sinr_terms = np.empty((3, n_fading, k_ues))
+        self.s_tx = np.empty((cfg.n_snapshots, n_fading, m_total, n_ant), dtype=complex)
+        self.chunk_diagnostics = []
 
-    return DropResult(
-        drop_index=drop_index,
-        rates_bps=rates,
-        sensing_snr_db=snr_db,
-        statistics=stat,
-        thresholds=thresholds,
-        decisions=decisions,
-        truths=truths,
-        fronthaul=fronthaul_load(assignment),
-        diagnostics=diagnostics,
-        layout=layout,
-        assignment=assignment,
-    )
+    def run_chunk(self, chunk: range, h: np.ndarray | None, normals: np.ndarray | None) -> None:
+        """Realizations chunk from their dense rows h or their law stream normals."""
+        ctx, bank, fs = self.ctx, self.bank, slice(chunk.start, chunk.stop)
+        n_ant = self.cfg.n_antennas
+        symbols = [(x[fs], x0[fs]) for x, x0 in self.symbols]
+        if bank is None:
+            h_links = h.reshape(len(chunk), -1, n_ant)
+        else:
+            # served links in full: the stream's first N normals per link
+            normals = normals[:, : bank.n_normals]
+            z = normals[:, : bank.n_law].reshape(len(chunk), len(bank.sqrt_g_links), n_ant)
+            h_links = z * bank.sqrt_g_links
+        w0, diag = _sense_beams(ctx, h_links, self.link_of, self.epoch_cells[fs])
+        if bank is None:
+            out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, symbols)
+        else:
+            out = _bank_downlink(bank, h_links, w0, normals, symbols)
+        diag_gain, row_sums, leak = self.sinr_terms
+        power = np.ascontiguousarray(out[0])
+        diag_gain[fs], row_sums[fs] = np.einsum("fkk->fk", power), power.sum(axis=2)
+        leak[fs], self.s_tx[:, fs] = out[1:]
+        self.chunk_diagnostics.append(diag)
+
+    def _rates(self) -> np.ndarray:
+        """(F, K) rates; the SINR terms and their temporaries end here."""
+        (diag_gain, row_sums, leak), self.sinr_terms = self.sinr_terms, None
+        sinr = diag_gain / (row_sums - diag_gain + leak + self.cfg.sigma_z2_w)
+        return self.cfg.bandwidth_hz * np.log2(1.0 + sinr)
+
+    def finish(self) -> DropResult:
+        """The drop's result: rates, then echoes and detection on all realizations."""
+        cfg, ctx, drop_index, s_tx = self.cfg, self.ctx, self.drop_index, self.s_tx
+        epoch_cells, sigma2 = self.epoch_cells, cfg.sigma_z2_w
+        diagnostics = functools.reduce(DropDiagnostics.merge, self.chunk_diagnostics)
+        rates = self._rates()
+
+        # the echoes of one realization share its reflectivities and direct
+        # channels across snapshots
+        s_tx_p = s_tx[:, :, ctx.tx_all]  # (J, F, P, N) of the transmit APs
+        y = _target_echoes(ctx, s_tx_p, _stream(cfg, drop_index, _S_RCS))
+        y += math.sqrt(sigma2) * self.unit_noise[:, :, ctx.rx_all]
+        if cfg.direct_residual > 0.0:
+            direct = _direct_path(cfg, ctx, s_tx_p, _stream(cfg, drop_index, _S_DIRECT))
+            y += cfg.direct_residual * direct
+
+        stat = ranks = snr_lin = 0
+        for s_j, y_j in zip(s_tx, y):
+            stat_s, ranks_s, snr_s = _detect(cfg, ctx, epoch_cells, s_j, y_j)
+            stat, ranks, snr_lin = stat + stat_s, ranks + ranks_s, snr_lin + snr_s
+
+        snr_lin /= cfg.n_snapshots
+        thresholds = calibrate_threshold(np.maximum(ranks, 1), sigma2, cfg.pfa_target)
+        decisions = stat > thresholds
+        truths = ctx.truth_cell[epoch_cells]
+        # a rank-0 test (its cluster's transmit APs send nothing) has no SNR
+        dead = ranks == 0
+        diagnostics.rank0_tests = int(dead.sum())
+        with np.errstate(divide="ignore"):
+            snr_db = np.where(dead, np.nan, 10.0 * np.log10(snr_lin))
+
+        return DropResult(
+            drop_index=drop_index,
+            rates_bps=rates,
+            sensing_snr_db=snr_db,
+            statistics=stat,
+            thresholds=thresholds,
+            decisions=decisions,
+            truths=truths,
+            fronthaul=fronthaul_load(ctx.assignment),
+            diagnostics=diagnostics,
+            layout=ctx.layout,
+            assignment=ctx.assignment,
+        )
 
 
 def _symbols_and_noise(cfg: ExperimentConfig, drop_index: int) -> tuple[list, np.ndarray]:
@@ -898,11 +893,11 @@ def run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
     """Check every arm's config, then run the table: each label's ResultSet.
 
     An empty table, a bad arm, or an arm that differs from the first in
-    n_drops or in a value that ``Draw`` reads fails before the first
-    drop of any arm. Each drop is drawn once and every arm is evaluated on
-    it. Arms with equal configs run once, and each of their labels
-    aggregates the shared drops in lower case. A single distinct arm draws
-    inside ``run_drop``, so a drop's time includes its draw.
+    n_drops or in a ``_DRAW_INPUTS`` value fails before the first drop of
+    any arm. Arms with equal configs run once, and each of their labels
+    aggregates the shared drops in lower case. Each drop runs every
+    distinct arm in one pass (``_run_table``); a table of one distinct arm
+    runs each drop through ``run_drop``.
     """
     if not arms:
         raise ConfigError("the preset has no arms: its list of values is empty")
@@ -917,9 +912,9 @@ def run_arms(arms: dict[str, ExperimentConfig]) -> dict[str, ResultSet]:
             distinct.append(arm_cfg)
     drops = [[] for _ in distinct]
     for d in range(shared.n_drops):
-        drawn = Draw(shared, d) if len(distinct) > 1 else None
-        for arm_cfg, arm_drops in zip(distinct, drops):
-            arm_drops.append(run_drop(arm_cfg, d, drawn))
+        results = [run_drop(shared, d)] if len(distinct) == 1 else _run_table(distinct, d)
+        for arm_drops, result in zip(drops, results):
+            arm_drops.append(result)
     return {
         key: _aggregate(arm_cfg, key.lower(), drops[distinct.index(arm_cfg)])
         for key, arm_cfg in arms.items()

@@ -61,7 +61,8 @@ def test_unserved_gain_covariance_at_fixed_bank():
     unit = complex_normal(rng, (b, n_ant))
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
     amp = np.array([0.7, 0.7, 1.3])[:, None]
-    normals = Draw(ExperimentConfig(n_fading=25), 0).normals(b * n_links // 25, range(25))
+    out = np.empty((25, b * n_links // 25), dtype=complex)
+    normals = Draw(ExperimentConfig(n_fading=25), 0).normals(range(25), out)
     w = np.sqrt(g_km) * normals.reshape(n_links, b).T  # an AP's links, b normals each
     gains, gram = _law_gains(unit, amp, w)
     cov = gains @ gains.conj().T / n_links
@@ -78,7 +79,8 @@ def test_law_rates_match_dense_rates_in_distribution(monkeypatch):
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 2000})
     law = run_drop(cfg, 0).rates_bps.ravel()
     drawn = Draw(cfg, 0)
-    h = drawn.fading(range(cfg.n_fading))
+    shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+    h = drawn.fading(range(cfg.n_fading), np.empty(shape, dtype=complex))
     layout, gains, schedule = drawn.layout, drawn.gains, drawn.schedule
     assignment = build_assignment(layout, gains, cfg)
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
@@ -90,8 +92,8 @@ def test_law_rates_match_dense_rates_in_distribution(monkeypatch):
         plan = build_plan(h_f, gains, assignment, geom, layout.aps, cells, cfg.p_max_w)
         stream.append(law_normals(h_f, gains, assignment, plan))
     stream = np.array(stream)
-    monkeypatch.setattr(harness.Draw, "normals", lambda draw, count, fs: stream[fs.start : fs.stop])
-    dense = run_drop(cfg, 0, drawn).rates_bps.ravel()
+    monkeypatch.setattr(harness.Draw, "normals", lambda draw, fs, out: stream[fs.start : fs.stop])
+    dense = run_drop(cfg, 0).rates_bps.ravel()
     assert not np.array_equal(law, dense)
     assert ks_2samp(law, dense).pvalue > 0.01
 
@@ -102,9 +104,7 @@ def test_mf_and_zf_share_every_ue_beam_gain(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cores", lambda: 1)  # one downlink call per arm
     outputs = _spy(monkeypatch, harness, "_bank_downlink")
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 6})
-    drawn = Draw(cfg, 0)
-    run_drop(cfg, 0, drawn)
-    run_drop(cfg.replace(beamformer="ZF", k_zf=1), 0, drawn)
+    harness._run_table([cfg, cfg.replace(beamformer="ZF", k_zf=1)], 0)
     (power_mf, leak_mf, _), (power_zf, leak_zf, _) = outputs
     bits_mf, bits_zf = (np.ascontiguousarray(p).view(np.uint8) for p in (power_mf, power_zf))
     assert np.array_equal(bits_mf, bits_zf)
@@ -118,32 +118,28 @@ def test_law_normals_per_realization(mode, count, monkeypatch):
     requests = []
     original = harness.Draw.normals
 
-    def normals(self, n, fs):
-        requests.append(n)
-        return original(self, n, fs)
+    def normals(self, fs, out):
+        requests.append(out.shape[1])
+        return original(self, fs, out)
 
     monkeypatch.setattr(harness.Draw, "normals", normals)
     run_drop(ExperimentConfig(mode=mode, seed=1, n_fading=2), 1)
     assert requests and set(requests) == {count}  # every realization block asks alike
 
 
-def test_a_longer_request_extends_the_same_stream():
-    # a table's arms read prefixes of one stream per realization, whatever
-    # the order of their requests and the blocks that make them
+def test_a_shorter_out_holds_a_prefix_of_the_stream():
+    # a table's arms read prefixes of one stream per realization: a shorter
+    # out holds the first values of a longer one's, whichever rows it asks for
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 5})
-    every = range(cfg.n_fading)
-    grown = Draw(cfg, 0)
-    short = grown.normals(7, every).copy()
-    grown.normals(50, range(3, 5))
-    grown.normals(20, range(0, 3))
-    longer = grown.normals(50, every)
-    once = Draw(cfg, 0).normals(50, every)
-    np.testing.assert_array_equal(longer[:, :7], short)
-    np.testing.assert_array_equal(longer, once)
-    for f in range(cfg.n_fading):
+    drawn, every = Draw(cfg, 0), range(cfg.n_fading)
+    longer = drawn.normals(every, np.empty((cfg.n_fading, 50), dtype=complex))
+    for fs, count in ((range(3, 5), 7), (range(0, 3), 20), (every, 50)):
+        short = drawn.normals(fs, np.empty((len(fs), count), dtype=complex))
+        np.testing.assert_array_equal(short, longer[fs.start : fs.stop, :count])
+    for f in every:
         rng = np.random.default_rng([cfg.seed, 0, harness._S_BANK, f])
         expected = (rng.standard_normal(100) * (1.0 / np.sqrt(2.0))).view(complex)
-        np.testing.assert_array_equal(once[f], expected)
+        np.testing.assert_array_equal(longer[f], expected)
 
 
 def test_bank_tables_never_draw_the_dense_tensor(monkeypatch):
@@ -223,7 +219,7 @@ def test_rank0_tests_have_no_snr(monkeypatch, tmp_path):
         return per_ue, eta0
 
     monkeypatch.setattr(harness, "allocate_power", quiet)
-    dr = run_drop(cfg, 0, drawn)
+    dr = run_drop(cfg, 0)
     dead = np.isnan(dr.sensing_snr_db)
     assert dead[:, 0].all() and not dead[:, 1].any()
     assert dr.diagnostics.rank0_tests == cfg.n_fading

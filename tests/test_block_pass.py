@@ -1,6 +1,6 @@
-"""One pass per realization block: an arm's bytes do not depend on how the
-realizations are split over the cores, nor on how a block is split into
-chunks of rows."""
+"""One pass per realization block for every arm of a table: an arm's bytes
+do not depend on how the realizations are split over the cores, on how a
+block is split into chunks of rows, nor on the arms it runs beside."""
 
 import hashlib
 import itertools
@@ -165,8 +165,8 @@ def test_a_failed_block_fails_the_drop_and_leaves_no_thread(arm, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_one_pass_per_arm(monkeypatch):
-    # a lone arm and every arm of a table run their realizations in one pass
+def test_one_pass_per_drop(monkeypatch):
+    # a lone arm runs its realizations in one pass, and a table all its arms
     passes = []
     in_blocks = harness._in_blocks
     monkeypatch.setattr(
@@ -179,31 +179,30 @@ def test_one_pass_per_arm(monkeypatch):
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 5, "n_drops": 2})
     passes.clear()
     run_arms(preset_mode_comparison(cfg))
-    assert passes == [5] * 4 * cfg.n_drops
+    assert passes == [5] * cfg.n_drops
 
 
 def test_a_table_draws_each_law_realization_once(monkeypatch):
-    # K = 3: all four modes take the bank path, and each arm after UTC reads a
-    # longer prefix of the law stream (38, 50, 96 and 96 normals): the blocks
-    # copy the prefixes drawn so far, and each realization's stream is
-    # seeded once per drop
-    cfg = ExperimentConfig(**{**SMALL, "k_ues": 3, "n_fading": 5})
-    drawn = Draw(cfg, 0)
-    seeded = []
+    # K = 6 on N = 4: UTC and UC take the bank path, UC with a longer law
+    # stream than UTC, and TC and CF the dense one. Each chunk draws its dense
+    # rows and its law rows once for all four arms, so each realization's two
+    # streams are seeded once per drop, in chunks of one realization or of a
+    # whole block
+    cfg = ExperimentConfig(**{**SMALL, "n_fading": 5, "n_drops": 2})
     default_rng = np.random.default_rng
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key)
-    )
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
-    for arm_cfg in preset_mode_comparison(cfg).values():
-        run_drop(arm_cfg, 0, drawn)
-    monkeypatch.undo()
-    bank_keys = sorted(
-        key for key in seeded if isinstance(key, list) and key[2:3] == [harness._S_BANK]
-    )
-    assert bank_keys == [[cfg.seed, 0, harness._S_BANK, f] for f in range(cfg.n_fading)]
-    every = range(cfg.n_fading)
-    np.testing.assert_array_equal(drawn.normals(96, every), Draw(cfg, 0).normals(96, every))
+    for budget in (1, 1 << 40):
+        seeded = []
+        monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key)
+        )
+        run_arms(preset_mode_comparison(cfg))
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        for purpose in (harness._S_FADING, harness._S_BANK):
+            keys = sorted(key for key in seeded if len(key) == 4 and key[2] == purpose)
+            every = range(cfg.n_fading)
+            assert keys == [[cfg.seed, d, purpose, f] for d in range(cfg.n_drops) for f in every]
 
 
 def _row_bytes(cfg: ExperimentConfig, monkeypatch) -> int:
@@ -211,7 +210,7 @@ def _row_bytes(cfg: ExperimentConfig, monkeypatch) -> int:
     counts = []
     normals = Draw.normals
     monkeypatch.setattr(
-        Draw, "normals", lambda draw, count, fs: counts.append(count) or normals(draw, count, fs)
+        Draw, "normals", lambda draw, fs, out: counts.append(out.shape[1]) or normals(draw, fs, out)
     )
     run_drop(cfg, 0)
     monkeypatch.setattr(Draw, "normals", normals)
@@ -221,9 +220,10 @@ def _row_bytes(cfg: ExperimentConfig, monkeypatch) -> int:
 @pytest.mark.parametrize("cores", [1, 4])
 @pytest.mark.parametrize("arm", list(ARMS))
 def test_outputs_do_not_depend_on_the_chunk_size(arm, cores, monkeypatch):
-    # chunks of 1 and 2 realizations and of a whole block, as a lone arm
-    # (chunk buffers reused across chunks and drops) and as the table's
-    # second arm (rows the Draw keeps)
+    # chunks of 1 and 2 realizations and of a whole block, as a lone arm and
+    # as the second arm of a table whose first arm takes the other downlink
+    # path, so that its chunks hold dense and law rows (row buffers reused
+    # across chunks and drops)
     cfg = _cfg(arm, 7)
     row_bytes = _row_bytes(cfg, monkeypatch)
     chunks = []
@@ -243,9 +243,8 @@ def test_outputs_do_not_depend_on_the_chunk_size(arm, cores, monkeypatch):
             chunks.clear()
             lone = run_drop(cfg, 0)
             assert sum(chunks) == cfg.n_fading and max(chunks) == min(per_chunk, -(-7 // cores))
-            drawn = Draw(cfg, 0)
-            run_drop(_cfg("dense-MF" if arm.startswith("bank") else "bank-MF", 7), 0, drawn)
-            results += [lone, run_drop(cfg, 0, drawn)]
+            other = _cfg("dense-MF" if arm.startswith("bank") else "bank-MF", 7)
+            results += [lone, harness._run_table([other, cfg], 0)[1]]
     finally:
         sys.setswitchinterval(interval)
     for got in results[1:]:
@@ -268,7 +267,7 @@ def test_a_table_does_not_depend_on_the_chunk_size(cores, monkeypatch):
 
 def test_concurrent_lone_arms_keep_their_bytes(monkeypatch):
     # two threads run lone arms at once, each block in chunks of one
-    # realization: each run_drop takes its own chunk buffers
+    # realization: each block takes its own row buffer from the pool
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
     work = [(_cfg(arm, 7), d) for arm in ("bank-ZF", "dense-ZF") for d in range(3)]
@@ -293,27 +292,35 @@ def test_concurrent_lone_arms_keep_their_bytes(monkeypatch):
         _assert_same(g, e)
 
 
-@pytest.mark.parametrize("mode", ["UTC", "CF"])
+@pytest.mark.parametrize("mode", ["UTC", "CF", "modes"])
 def test_peak_memory_is_flat_in_the_fading_count(mode, monkeypatch):
     # chunks of one realization: the rows, beams and cross gains of a chunk
     # do not grow with F, so the drop's peak grows by what it keeps for every
-    # realization. 250 m cells give 4 inspected cells per region at both F, so
-    # the cell tables match. Without targets the echo stage holds no
+    # realization, for one arm or for the mode table's four (two dense, two
+    # bank) on one draw. 250 m cells give 4 inspected cells per region at both
+    # F, so the cell tables match. Without targets the echo stage holds no
     # per-target projections, which this bound does not count.
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
     peaks = {}
     for n_fading in (8, 64):
-        cfg = ExperimentConfig(mode=mode, n_fading=n_fading, t_targets=0, cell_extent_m=250.0)
-        run_drop(cfg, 0)  # the chunk buffers exist from here on
+        cfg = ExperimentConfig(n_fading=n_fading, t_targets=0, cell_extent_m=250.0)
+        table = preset_mode_comparison(cfg) if mode == "modes" else {mode: cfg.replace(mode=mode)}
+        arms = list(table.values())
+        harness._run_table(arms, 0)  # the row buffers exist from here on
         tracemalloc.start()
         try:
-            run_drop(cfg, 0)
+            harness._run_table(arms, 0)
             peaks[n_fading] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # per realization: each snapshot's symbols, unit noise and transmit
-    # signals, the transmit APs' copy of the signals and the echoes at the
-    # receive APs (one more M N between them), and the SINR terms and rates
+    # per realization: each snapshot's symbols and unit noise, each arm's
+    # transmit signals, the transmit APs' copy of one arm's signals and its
+    # echoes at the receive APs (one more M N between them), and each arm's
+    # SINR terms and rates
     signals = 16 * cfg.n_snapshots * cfg.m_aps * cfg.n_antennas
-    kept = 16 * cfg.n_snapshots * (cfg.k_ues + cfg.m_aps) + 3 * signals + 4 * 8 * cfg.k_ues
+    kept = (
+        16 * cfg.n_snapshots * (cfg.k_ues + cfg.m_aps)
+        + (len(arms) + 2) * signals
+        + len(arms) * 4 * 8 * cfg.k_ues
+    )
     assert peaks[64] - peaks[8] <= 1.1 * (64 - 8) * kept

@@ -123,24 +123,33 @@ class TestRunDrop:
         np.testing.assert_array_equal(layouts["UTC"][2], layouts["CF"][2])
 
     def test_drawn_fading_is_read_only(self):
-        # a block's rows and the whole draw alike
-        drawn = Draw(ExperimentConfig(**TINY), 0)
-        block, every = range(1, 3), range(TINY["n_fading"])
-        for h in (drawn.fading(block), drawn.fading(every)):
+        # a block's rows and the whole draw alike; the caller's buffer stays
+        # writable, so that the next chunk can be drawn into it
+        cfg = ExperimentConfig(**TINY)
+        drawn = Draw(cfg, 0)
+        block, every = range(1, 3), range(cfg.n_fading)
+        for fs in (block, every):
+            out = np.empty((len(fs), cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
             with pytest.raises(ValueError, match="read-only"):
-                h[0, 0, 0, 0] = 0.0
-        for normals in (drawn.normals(5, block), drawn.normals(5, every), drawn.normals(8, block)):
+                drawn.fading(fs, out)[0, 0, 0, 0] = 0.0
+            out[0, 0, 0, 0] = 0.0
+        for fs, count in ((block, 5), (every, 5), (block, 8)):
+            out = np.empty((len(fs), count), dtype=complex)
             with pytest.raises(ValueError, match="read-only"):
-                normals[0, 0] = 0.0
+                drawn.normals(fs, out)[0, 0] = 0.0
+            out[0, 0] = 0.0
 
     def test_fading_is_drawn_realization_by_realization(self):
         # realization f alone from its stream (seed, drop, purpose, f), scaled by
-        # sqrt(gains), whichever block asks for it first
+        # sqrt(gains), whichever rows a request holds
         cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
         drawn = Draw(cfg, 1)
-        blocks = {block: drawn.fading(block) for block in (range(3, 5), range(0, 1), range(1, 3))}
-        h = drawn.fading(range(cfg.n_fading))
         shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+        blocks = {
+            block: drawn.fading(block, np.empty((len(block), *shape), dtype=complex))
+            for block in (range(3, 5), range(0, 1), range(1, 3))
+        }
+        h = drawn.fading(range(cfg.n_fading), np.empty((cfg.n_fading, *shape), dtype=complex))
         for f in range(cfg.n_fading):
             rng = np.random.default_rng([cfg.seed, 1, _S_FADING, f])
             np.testing.assert_array_equal(
@@ -159,11 +168,15 @@ class TestRunDrop:
         try:
             for cores in (1, 4, 16):
                 monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
-                draw, every = Draw(cfg, 0), range(n_fading)
-                harness._in_blocks(n_fading, draw.fading)
-                harness._in_blocks(n_fading, lambda fs: draw.normals(9, fs))
-                harness._in_blocks(n_fading, lambda fs: draw.normals(40, fs))
-                drawn.append((draw.fading(every), draw.normals(9, every), draw.normals(40, every)))
+                draw = Draw(cfg, 0)
+                h = np.empty((n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
+                law = [np.empty((n_fading, count), dtype=complex) for count in (9, 40)]
+                harness._in_blocks(n_fading, lambda fs: draw.fading(fs, h[fs.start : fs.stop]))
+                for rows in law:
+                    harness._in_blocks(
+                        n_fading, lambda fs: draw.normals(fs, rows[fs.start : fs.stop])
+                    )
+                drawn.append((h, *law))
         finally:
             sys.setswitchinterval(interval)
         for arrays in drawn[1:]:
@@ -181,9 +194,11 @@ class TestRunDrop:
 
         monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
         monkeypatch.setattr(harness, "complex_normal", draw)
+        draw = Draw(cfg, 0)
+        h = np.empty((cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="realization 4"):
-            harness._in_blocks(cfg.n_fading, Draw(cfg, 0).fading)
+            harness._in_blocks(cfg.n_fading, lambda fs: draw.fading(fs, h[fs.start : fs.stop]))
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
@@ -197,8 +212,8 @@ class TestRunDrop:
 
         def spy(name, fn):
             def wrapper(*args):
-                if isinstance(args[-1], range):
-                    calls.append((name, args[-1].start, args[-1].stop))
+                if isinstance(args[1], range):
+                    calls.append((name, args[1].start, args[1].stop))
                 else:
                     calls.append((name, len(args[1])))
                 return fn(*args)
@@ -288,15 +303,20 @@ class TestRunExperiment:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Every Draw and run_drop call the runner makes, in order."""
+        """Every Draw, run_drop and table pass the runner makes, in order."""
         calls = []
+        run_table = harness._run_table
         monkeypatch.setattr(
             "cfisac.harness.Draw",
             lambda cfg, d: calls.append(("draw", d)) or Draw(cfg, d),
         )
         monkeypatch.setattr(
             "cfisac.harness.run_drop",
-            lambda cfg, d, drawn=None: calls.append((cfg.mode, d)) or run_drop(cfg, d, drawn),
+            lambda cfg, d: calls.append((cfg.mode, d)) or run_drop(cfg, d),
+        )
+        monkeypatch.setattr(
+            "cfisac.harness._run_table",
+            lambda cfgs, d: calls.append(([c.mode for c in cfgs], d)) or run_table(cfgs, d),
         )
         return calls
 
@@ -304,13 +324,13 @@ class TestRunExperiment:
         cfg = ExperimentConfig(**TINY)
         arms = run_arms({"a": cfg, "b": cfg.replace(), "tc": cfg.replace(mode="TC")})
         drops = range(cfg.n_drops)
-        assert calls == [c for d in drops for c in (("draw", d), ("UTC", d), ("TC", d))]
+        assert calls == [c for d in drops for c in ((["UTC", "TC"], d), ("draw", d))]
         self._assert_bitwise_equal(arms["a"], arms["b"])
         assert (arms["a"].label, arms["b"].label) == ("a", "b")
-        # one distinct config under two labels draws inside run_drop, once per drop
+        # one distinct config under two labels runs through run_drop, once per drop
         calls.clear()
         run_arms({"a": cfg, "b": cfg.replace()})
-        assert calls == [c for d in drops for c in (("UTC", d), ("draw", d))]
+        assert calls == [c for d in drops for c in (("UTC", d), (["UTC"], d), ("draw", d))]
 
     def test_rx_sweep_rejects_degenerate_counts(self):
         cfg = ExperimentConfig(**TINY)
@@ -345,7 +365,8 @@ class TestRunExperiment:
 
     def test_draw_inputs_are_what_draw_reads(self):
         # the runner checks that a table's arms agree on every value the shared
-        # draw reads; that list must be exactly what Draw reads
+        # draw and the shared rows read; that list must be exactly what Draw and
+        # the shape of a realization's dense rows read
         read = set()
 
         class Spy:
@@ -357,8 +378,11 @@ class TestRunExperiment:
                 return getattr(self.cfg, name)
 
         for changes in ({}, {"shadowing_enabled": False}, {"bandwidth_matched_cells": True}):
-            Draw(Spy(ExperimentConfig(**{**TINY, **changes})), 0)
+            spy = Spy(ExperimentConfig(**{**TINY, **changes}))
+            Draw(spy, 0)
+            harness._dense_row(spy)
         assert read == set(_DRAW_INPUTS)
+        assert {"k_ues", "m_aps", "n_antennas"} <= read
 
     def test_beamformer_preset_rejects_large_kzf(self):
         cfg = ExperimentConfig(**TINY)
@@ -496,8 +520,8 @@ class TestBatchedPipelineMatchesOps:
         stream = np.array([law_normals(h_f, gains, assignment, plan) for _, h_f, plan in plans])
         requests = []
 
-        def normals(draw, count, fs):
-            requests.append(count)
+        def normals(draw, fs, out):
+            requests.append(out.shape[1])
             return stream[fs.start : fs.stop]
 
         monkeypatch.setattr(harness.Draw, "normals", normals)
@@ -614,7 +638,8 @@ def _drop_context(cfg, drop=0, layout=None, all_cells=False):
         schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
     assignment = build_assignment(layout, drawn.gains, cfg)
     ctx = _DropContext(cfg, layout, assignment, schedule, drawn.gains)
-    return ctx, drawn.fading(range(cfg.n_fading))
+    shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+    return ctx, drawn.fading(range(cfg.n_fading), np.empty(shape, dtype=complex))
 
 
 def _truth_loop(layout):
