@@ -510,7 +510,6 @@ class _Arm:
             h_links = h.reshape(len(chunk), -1, n_ant)
         else:
             # served links in full: the stream's first N normals per link
-            normals = normals[:, : bank.n_normals]
             z = normals[:, : bank.n_law].reshape(len(chunk), len(bank.sqrt_g_links), n_ant)
             h_links = z * bank.sqrt_g_links
         w0, diag = _sense_beams(ctx, h_links, self.link_of, self.epoch_cells[fs])
