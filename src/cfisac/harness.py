@@ -36,7 +36,6 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from . import kernels
 from .channel import (
@@ -106,6 +105,59 @@ def allocate_power(
     return per_ue[()], eta0[()]
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_poisson(n: int, x: float) -> float:
+    """log(e^-x x^n / n!), with n log x - x - lgamma(n + 1) taken about x = n
+    so that no large terms cancel."""
+    if n == 0:
+        return -x
+    d = x - n
+    log_ratio = math.log1p(d / n) if 0.5 * n <= x <= 2.0 * n else math.log(x / n)
+    # lgamma(n + 1) - (n + 1/2) log n + n - log(2 pi) / 2: the series at m >= 15,
+    # stepped down to n by S(k) = S(k + 1) + (k + 1/2) log(1 + 1/k) - 1
+    m = max(n, 15)
+    r = 1.0 / (m * m)
+    stirling = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / m
+    stirling += sum((k + 0.5) * math.log1p(1.0 / k) - 1.0 for k in range(n, m))
+    return n * log_ratio - d - 0.5 * math.log(n) - _HALF_LOG_2PI - stirling
+
+
+@functools.lru_cache(maxsize=256)
+def _erlang_quantile(rank: int, pfa: float) -> float:
+    """The x with Q(rank, x) = e^-x sum_{k<rank} x^k / k! = pfa.
+
+    Newton on y = log x: log Q and log P = log(1 - Q) are concave in y, so
+    from its first step on each iterate stays on one side of the root and
+    x = e^y stays positive. pfa <= 1/2 solves log Q, the root at or above
+    the median (> rank - 1/3); a larger pfa solves log P = log(1 - pfa),
+    the root below the median, from x^rank / rank! >= P, which starts it
+    below. Either sum is a Poisson term times 1 + sum_j of a product of
+    ratios below one that decay like exp(-j^2 / 2 rank), cut after 9
+    sqrt(rank) + 30 terms.
+    """
+    upper = pfa <= 0.5
+    target = math.log(pfa if upper else 1.0 - pfa)
+    n_terms = int(9.0 * math.sqrt(rank)) + 30
+    i = np.arange(1.0, (min(n_terms, rank - 1) if upper else n_terms) + 1)
+    if upper:
+        x = rank + math.sqrt(-2.0 * rank * target) - target
+    else:
+        x = math.exp((target + math.lgamma(rank + 1.0)) / rank)
+    for _ in range(100):
+        if upper:  # Q = p_{rank-1} r, d log Q / dy = -x / r
+            r = 1.0 + np.cumprod((rank - i) / x).sum()
+            step = (_log_poisson(rank - 1, x) + math.log(r) - target) * r / x
+        else:  # P = p_rank r, d log P / dy = rank / r
+            r = 1.0 + np.cumprod(x / (rank + i)).sum()
+            step = -(_log_poisson(rank, x) + math.log(r) - target) * r / rank
+        x += x * math.expm1(step)
+        if abs(step) < 1e-15:
+            return x
+    raise ArithmeticError(f"threshold for rank {rank} at pfa {pfa} did not converge")
+
+
 def calibrate_threshold(
     total_rank: int | np.ndarray, sigma_z2: float, target_pfa: float
 ) -> float | np.ndarray:
@@ -113,15 +165,23 @@ def calibrate_threshold(
 
     Under the noise-only hypothesis the statistic is a sum of ``total_rank``
     squared magnitudes of independent complex Gaussians, i.e. Gamma(rank,
-    sigma_z2), so the threshold is the upper tail quantile at target_pfa.
-    Element-wise over an array of ranks; a scalar rank gives a float.
+    sigma_z2) with an integer rank, so the threshold is sigma_z2 times the
+    x whose Erlang tail e^-x sum_{k<rank} x^k / k! equals target_pfa.
+    Element-wise over an array of ranks, solved once per distinct rank; a
+    scalar rank gives a float, equal to the array entry of that rank.
     """
     if not 0.0 < target_pfa < 1.0:
         raise ValueError("target_pfa must lie in (0, 1)")
-    if np.any(np.asarray(total_rank) < 1):
+    ranks = np.asarray(total_rank)
+    if np.any(ranks < 1):
         raise ValueError("total_rank must be >= 1")
-    threshold = sigma_z2 * gammainccinv(total_rank, target_pfa)
-    return float(threshold) if np.ndim(threshold) == 0 else threshold
+    whole = np.isfinite(ranks) & (np.floor(ranks) == ranks)
+    if not whole.all():
+        raise ValueError(f"total_rank must be an integer, got {ranks[~whole].flat[0]}")
+    unique, inverse = np.unique(ranks, return_inverse=True)
+    unit = np.array([_erlang_quantile(int(r), float(target_pfa)) for r in unique])
+    threshold = sigma_z2 * unit[inverse].reshape(ranks.shape)
+    return float(threshold) if ranks.ndim == 0 else threshold
 
 
 class _CellTables:
@@ -539,11 +599,13 @@ class _Arm:
         # the echoes of one realization share its reflectivities and direct
         # channels across snapshots
         s_tx_p = s_tx[:, :, ctx.tx_all]  # (J, F, P, N) of the transmit APs
-        y = _target_echoes(ctx, s_tx_p, _stream(cfg, drop_index, _S_RCS))
-        y += math.sqrt(sigma2) * self.unit_noise[:, :, ctx.rx_all]
+        y = np.take(self.unit_noise, ctx.rx_all, axis=2)  # (J, F, R, N), scaled in place
+        y *= math.sqrt(sigma2)
+        y += _target_echoes(ctx, s_tx_p, _stream(cfg, drop_index, _S_RCS))
         if cfg.direct_residual > 0.0:
             direct = _direct_path(cfg, ctx, s_tx_p, _stream(cfg, drop_index, _S_DIRECT))
             y += cfg.direct_residual * direct
+        del s_tx_p  # detection reads every AP's signals, s_tx
 
         stat = ranks = snr_lin = 0
         for s_j, y_j in zip(s_tx, y):
@@ -810,15 +872,21 @@ def _detect(cfg: ExperimentConfig, ctx: _DropContext, epoch_cells, s_tx, y) -> t
     tx, rx = ctx.cluster_tx, ctx.cluster_rx
     n_rx = rx.shape[1]
     rx_cells = epoch_cells[:, :, None], rx
-    match = np.einsum(
-        "flmn,flmn->flm", ctx.a_cell[rx_cells].conj(), y[:, ctx.cluster_rx_pos], optimize=True
-    )
+    # (F, L, n_rx, N) each: the steering gathered and conjugated in place, and
+    # the echoes gathered contiguous, which einsum would otherwise copy
+    a_rx = ctx.a_cell[rx_cells]
+    y_rx = np.take(y, ctx.cluster_rx_pos, axis=1)
+    match = np.einsum("flmn,flmn->flm", np.conjugate(a_rx, out=a_rx), y_rx, optimize=True)
+    del a_rx, y_rx
     live = np.empty((n_fading, n_regions), dtype=bool)
     quad = np.empty((n_fading, n_regions))
     for e in range(min(ctx.n_epochs, n_fading)):
         fs = slice(e, None, ctx.n_epochs)  # the realizations that inspect epoch e's cells
         tx_cells = epoch_cells[e, :, None], tx
-        proj = np.einsum("lpn,flpn->flp", ctx.a_cell[tx_cells].conj(), s_tx[fs][:, tx])
+        # a region at a time: in CF every cluster holds all transmit APs, so one
+        # gather over the regions would copy their signals L times
+        a_tx, s_e = ctx.a_cell[tx_cells].conj(), s_tx[fs]
+        proj = np.stack([np.einsum("pn,fpn->fp", a, s_e[:, p]) for a, p in zip(a_tx, tx)], axis=1)
         u = np.sqrt(ctx.g_cell[tx_cells]) * proj  # (F / n_epochs, L, n_tx)
         live[fs] = np.any(u != 0, axis=2)
         u_r = np.matmul(u.transpose(1, 0, 2), ctx.r_cell[epoch_cells[e]])  # u^T R by region
@@ -841,8 +909,10 @@ def _target_echoes(
     Gram = U^H K_tx U (J x J) and Z (R x J) i.i.d. CN(0, 1): R J normals per
     target, and no transmit-side square root.
     """
-    n_snap, n_fading = s_tx.shape[:2]
+    n_snap, n_fading, _, n_ant = s_tx.shape
     n_targets, n_rx = ctx.rx_mix.shape[:2]
+    if n_targets == 0:  # the einsums below would copy s_tx for nothing
+        return np.zeros((n_snap, n_fading, n_rx, n_ant), dtype=complex)
     tx = ctx.tx_all
     u = np.einsum("tpn,jfpn->tpfj", ctx.a_tgt[:, tx].conj(), s_tx, optimize=True)
     u *= ctx.sqrt_g_tgt[:, tx, None, None]

@@ -9,13 +9,12 @@ AP serves more than N UEs).
 The bank path (UC/UTC) draws each AP's unserved links in law through the
 lower Cholesky factor of its bank's Gram, ``cholesky_lower``.
 
-Each realization block of ``harness.run_drop`` runs these kernels on its
-own rows and core. On the ``cf-mf`` benchmark workload (2 cores, BLAS at
-one thread) the dense downlink takes 16 ms of thread time per drop, split
-over two blocks, where it took 18-19 ms in one thread. On ``utc-mf`` the
-law draw takes 12 ms and the bank downlink (Cholesky factors, small
-batched matmuls and the transmit signals) 18 ms of thread time, inside a
-16 ms pass of a 23 ms drop (``BENCH_19.json``).
+Each realization block of ``harness._run_table`` runs the first two on its
+own rows and core, and ``echo_mix`` runs once per arm on all realizations.
+In traced perfbench runs (2 cores, BLAS at one thread), ``cross_gains`` and
+``sense_leakage`` take 3.3 and 1.3 ms of thread time in a 39 ms ``cf-mf``
+drop; ``utc-mf`` takes the bank path, which calls neither, and ``echo_mix``
+costs 0.1 ms of its 25 ms drop (``BENCH_24.json``).
 """
 
 from __future__ import annotations

@@ -297,22 +297,34 @@ def test_peak_memory_is_flat_in_the_fading_count(mode, monkeypatch):
     # chunks of one realization: the rows, beams and cross gains of a chunk
     # do not grow with F, so the drop's peak grows by what it keeps for every
     # realization, for one arm or for the mode table's four (two dense, two
-    # bank) on one draw. 250 m cells give 4 inspected cells per region at both
+    # bank) on one draw. 250 m cells give 4 inspected cells per region at every
     # F, so the cell tables match. Without targets the echo stage holds no
     # per-target projections, which this bound does not count.
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    in_blocks, stages = harness._in_blocks, []
+
+    def timed_pass(*args):  # the peaks of the set-up, of the pass and, after it, of finish
+        stages.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        in_blocks(*args)
+        stages.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(harness, "_in_blocks", timed_pass)
     peaks = {}
-    for n_fading in (8, 64):
+    for n_fading in (8, 64, 128):
         cfg = ExperimentConfig(n_fading=n_fading, t_targets=0, cell_extent_m=250.0)
         table = preset_mode_comparison(cfg) if mode == "modes" else {mode: cfg.replace(mode=mode)}
         arms = list(table.values())
         harness._run_table(arms, 0)  # the row buffers exist from here on
+        stages.clear()
         tracemalloc.start()
         try:
             harness._run_table(arms, 0)
-            peaks[n_fading] = tracemalloc.get_traced_memory()[1]
+            stages.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        peaks[n_fading] = stages[:]
     # per realization: each snapshot's symbols and unit noise, each arm's
     # transmit signals, the transmit APs' copy of one arm's signals and its
     # echoes at the receive APs (one more M N between them), and each arm's
@@ -323,4 +335,9 @@ def test_peak_memory_is_flat_in_the_fading_count(mode, monkeypatch):
         + (len(arms) + 2) * signals
         + len(arms) * 4 * 8 * cfg.k_ues
     )
-    assert peaks[64] - peaks[8] <= 1.1 * (64 - 8) * kept
+    assert max(peaks[64]) - max(peaks[8]) <= 1.1 * (64 - 8) * kept
+    # the drop's peak at F=8 comes from the pass, and at F=64 and 128 from the
+    # pass or finish (echoes and detection), which lie within a few percent:
+    # read the growth within each stage too, where its fixed memory cancels
+    for stage, before, after in zip(("set-up", "pass", "finish"), peaks[64], peaks[128]):
+        assert after - before <= 1.1 * (128 - 64) * kept, stage

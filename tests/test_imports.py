@@ -1,4 +1,5 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package and of the tests uses each name it imports,
+and the package runs on numpy alone.
 
 No linter ships with the toolchain, so this walks the syntax tree with the
 standard library: a name bound by an import must be read somewhere in the
@@ -7,6 +8,8 @@ compiler directives and are skipped.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,27 @@ def test_detects_unused_and_skips_exports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_engine_imports_no_scipy():
+    # scipy is a test-only oracle: a fresh isolated interpreter that imports
+    # the package and its CLI, validates a config and runs one small drop
+    # holds no scipy module
+    root = TESTS.parent
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import cfisac, cfisac.cli\n"
+        "from cfisac.config import ExperimentConfig\n"
+        "from cfisac.harness import run_drop\n"
+        "assert cfisac.cli.main(['validate-config', '--config', sys.argv[2]]) == 0\n"
+        "cfg = ExperimentConfig(m_aps=10, k_ues=6, t_targets=2, l_regions=1, n_antennas=4,\n"
+        "                       q_serving=2, m_tx_per_region=3, m_rx_per_region=2, n_fading=4)\n"
+        "assert run_drop(cfg, 0).statistics.size\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    config = root / "configs" / "baseline.cfg"
+    argv = [sys.executable, "-I", "-c", code, str(root / "src"), str(config)]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,12 @@
+import decimal
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.special import gammainccinv
 
+from cfisac import harness
 from cfisac.channel import (
     ArrayGeometry,
     complex_normal,
@@ -205,6 +209,21 @@ class TestGlrt:
             glrt_statistic([d], [])
 
 
+PFAS = [1 - 1e-6, 0.999, 0.5, 0.1, 0.01, 1e-3, 1e-6, 1e-9, 1e-12]
+
+
+def _erlang_tail(rank: int, x: float) -> float:
+    """Q(rank, x) = e^-x sum_{k<rank} x^k / k! in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(x)  # the float's exact value
+        term = total = decimal.Decimal(1)
+        for k in range(1, rank):
+            term = term * x / k
+            total += term
+        return float(total * (-x).exp())
+
+
 class TestThreshold:
     def test_rank_one_closed_form(self):
         # exponential tail: P(stat > delta) = exp(-delta) at unit noise power
@@ -234,6 +253,35 @@ class TestThreshold:
         assert type(calibrate_threshold(4, 2.0, 0.01)) is float
         with pytest.raises(ValueError):
             calibrate_threshold(np.array([1, 0]), 1.0, 0.5)
+
+    def test_rejects_non_integer_ranks(self):
+        # the Erlang closed form holds for integer ranks only
+        fractional = np.array([[1.0, 2.0], [2.5, 4.0]])
+        for rank, named in ((2.5, "2.5"), (fractional, "2.5"), (math.nan, "nan")):
+            with pytest.raises(ValueError, match=f"must be an integer, got {named}"):
+                calibrate_threshold(rank, 1.0, 0.5)
+        assert calibrate_threshold(np.array([2.0]), 1.0, 0.5)[0] == calibrate_threshold(2, 1.0, 0.5)
+
+    @pytest.mark.parametrize("pfa", PFAS)
+    def test_matches_the_gamma_quantile(self, pfa):
+        ranks = np.arange(1, 1025)
+        np.testing.assert_allclose(
+            calibrate_threshold(ranks, 1.0, pfa), gammainccinv(ranks, pfa), rtol=1e-13
+        )
+
+    @pytest.mark.parametrize("pfa", PFAS)
+    def test_erlang_tail_at_the_threshold_is_the_pfa(self, pfa):
+        for rank in (1, 2, 3, 7, 16, 64, 255, 1024):
+            tail = _erlang_tail(rank, calibrate_threshold(rank, 1.0, pfa))
+            assert tail == pytest.approx(pfa, rel=1e-12), rank
+
+    @pytest.mark.parametrize("pfa", [0.999, 0.01])
+    def test_large_rank_is_fast_and_accurate(self, pfa):
+        harness._erlang_quantile.cache_clear()
+        start = time.perf_counter()
+        got = calibrate_threshold(10**5, 1.0, pfa)
+        assert time.perf_counter() - start < 0.05
+        assert got == pytest.approx(gammainccinv(10**5, pfa), rel=1e-9)
 
     def test_monte_carlo_agrees_with_analytic(self):
         analytic = calibrate_threshold(12, 1.0, 0.01)
