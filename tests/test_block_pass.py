@@ -63,6 +63,14 @@ IN_TABLE = {
 }
 
 
+# bank arms at the same seed and sizes with 3 snapshots and a direct path, so
+# that each snapshot's transmit signals and the direct AP-to-AP signal count
+MULTI_SNAPSHOT = {
+    ("UTC", "MF", 0): "49f6efe5995b3216c7ec5963b706fb3de94a6d91c0d2ff5aea595f32f659852d",
+    ("UTC", "ZF", 2): "98c53e25c7687e68954ab9c8f2593347977ad1370c8e65ca831222363e1ac76b",
+}
+
+
 def _pinned_cfg(**changes) -> ExperimentConfig:
     return ExperimentConfig(seed=1, n_drops=3, n_fading=4).replace(**changes)
 
@@ -71,6 +79,14 @@ def _pinned_cfg(**changes) -> ExperimentConfig:
 def test_arms_keep_their_bytes(mode, beamformer, k_zf):
     rs = run_experiment(_pinned_cfg(mode=mode, beamformer=beamformer, k_zf=k_zf))
     assert _digest(rs) == PINNED[mode, beamformer, k_zf]
+
+
+@pytest.mark.parametrize("mode,beamformer,k_zf", list(MULTI_SNAPSHOT))
+def test_multi_snapshot_arms_keep_their_bytes(mode, beamformer, k_zf):
+    cfg = _pinned_cfg(
+        mode=mode, beamformer=beamformer, k_zf=k_zf, n_snapshots=3, direct_residual=0.1
+    )
+    assert _digest(run_experiment(cfg)) == MULTI_SNAPSHOT[mode, beamformer, k_zf]
 
 
 def test_uc_extends_the_utc_stream_and_keeps_its_bytes():
