@@ -10,20 +10,23 @@ order-independent and experiment arms that share a seed see identical
 layouts, shadowing, schedules, symbols and noise (common random numbers).
 A preset is a table of arms (label -> config); ``run_arms`` runs any table
 drop by drop, and ``run_drop`` is a table of one arm. ``Draw`` holds what a
-drop's arms share: layout, gains and schedule. The fading rows come in two
-forms, realization f from its own stream (seed, drop, purpose, f): the dense
-(K, M, N) channels for arms on the dense downlink path, and for bank-path
-arms (UC/UTC) a flat stream of normals from which each arm draws its served
-links in full and every other link in law through its AP's bank
-(``_bank_downlink``). A table runs all its arms in one pass over realization
-blocks, one per core the process may use (``taskset`` limits them). A block
-runs in equal chunks of at most ``CHUNK_BYTES`` of rows: each chunk draws
-its rows once into the block's pooled buffer, the dense rows if an arm needs
-them and the law stream up to the longest bank arm's, and every arm then runs
-its sensing beams, downlink and transmit signals on them. Each arm reads a
-prefix of the law stream, so it reads the same bytes alone and in any table.
-Neither the thread count nor the chunk size changes a byte, and no row
-outlives its chunk (``BENCH_22.json``, ``BENCH_23.json``).
+drop's arms share: layout, gains, schedule, cell tables, and each snapshot's
+symbols and noise, so a table's arms agree on every value it reads
+(``_DRAW_INPUTS``), ``n_snapshots`` and ``spacing_wavelengths`` included.
+The fading rows come in two forms, realization f from its own stream (seed,
+drop, purpose, f): the dense (K, M, N) channels for arms on the dense
+downlink path, and for bank-path arms (UC/UTC) a flat stream of normals from
+which each arm draws its served links in full and every other link in law
+through its AP's bank (``_bank_downlink``). A table runs all its arms in one
+pass over realization blocks, one per core the process may use (``taskset``
+limits them). A block runs in equal chunks of at most ``CHUNK_BYTES`` of
+rows: each chunk draws its rows once into the block's pooled buffer, the
+dense rows if an arm needs them and the law stream up to the longest bank
+arm's, and every arm then runs its sensing beams, downlink and transmit
+signals on them. Each arm reads a prefix of the law stream, so it reads the
+same bytes alone and in any table. Neither the thread count nor the chunk
+size changes a byte, and no row outlives its chunk (``BENCH_22.json``,
+``BENCH_23.json``).
 """
 
 from __future__ import annotations
@@ -226,24 +229,20 @@ class _CellTables:
 
 
 class _DropContext:
-    """Per-drop geometry, gains, power split and ZF sets that the drop reads.
-
-    ``cells`` are the drop's ``_CellTables``, computed here when None.
-    """
+    """Per-drop geometry, gains, power split and ZF sets that the drop reads,
+    with ``cells`` the drop's ``_CellTables``."""
 
     def __init__(
         self,
         cfg: ExperimentConfig,
         layout: NetworkLayout,
         assignment: ClusterAssignment,
-        schedule: ScanSchedule,
         gains: np.ndarray,
-        cells: _CellTables | None = None,
+        cells: _CellTables,
     ):
         self.layout = layout
         self.assignment = assignment
         corr = cfg.angular_corr_rad
-        cells = _CellTables(cfg, layout, schedule) if cells is None else cells
         self.n_epochs, self.cell_of, self.truth_cell = cells.n_epochs, cells.cell_of, cells.truth_cell
         self.a_cell, self.g_cell = cells.a_cell, cells.g_cell
         self.a_tgt, self.sqrt_g_tgt = cells.a_tgt, cells.sqrt_g_tgt
@@ -365,13 +364,13 @@ def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
 CHUNK_BYTES = 8 << 20
 _SPARE_CHUNKS, _SPARE_LOCK = [], threading.Lock()
 
-# every config value that the shared draw and the shared rows read: the arms
-# of one table agree on each
+# every config value that the shared draw reads: the arms of one table agree on each
 _DRAW_INPUTS = (
-    "seed", "n_fading", "m_aps", "k_ues", "t_targets", "l_regions", "n_antennas",
-    "area_side_m", "ap_height_m", "ue_height_m", "target_height_min_m",
-    "target_height_max_m", "inspection_height_m", "resolved_cell_extent_m",
-    "random_broadside", "carrier_ghz", "shadowing_enabled", "shadowing_std_db",
+    "seed", "n_fading", "n_snapshots", "m_aps", "k_ues", "t_targets", "l_regions",
+    "n_antennas", "spacing_wavelengths", "area_side_m", "ap_height_m", "ue_height_m",
+    "target_height_min_m", "target_height_max_m", "inspection_height_m",
+    "resolved_cell_extent_m", "random_broadside", "carrier_ghz", "shadowing_enabled",
+    "shadowing_std_db",
 )
 
 
@@ -383,11 +382,13 @@ def _read_only(rows: np.ndarray) -> np.ndarray:
 
 
 class Draw:
-    """What every arm of a drop shares: layout, gains, schedule and ``shared`` values.
+    """What every arm of a drop shares, built at once and read alike by each arm.
 
-    ``layout``, ``gains`` (shadowed UE-AP gains) and ``schedule`` are drawn
-    at once. The fading rows are drawn on request into a buffer the caller
-    owns, each realization f from its own stream, and come back read-only:
+    ``layout``, ``gains`` (shadowed UE-AP gains), ``schedule``, ``cells``
+    (the ``_CellTables``), and each snapshot's ``symbols`` with the CN(0, 1)
+    ``unit_noise`` (``_symbols_and_noise``). The fading rows are drawn on
+    request into a buffer the caller owns, each realization f from its own
+    stream, and come back read-only:
 
     - ``fading(fs, out)``, realizations fs of the (F, K, M, N) tensor of every
       link from the streams (seed, drop, _S_FADING, f), scaled by sqrt(gains),
@@ -409,18 +410,9 @@ class Draw:
         self.schedule = build_scan_schedule(
             self.layout.regions, _stream(cfg, drop_index, _S_SCHED), max_epochs=cfg.n_fading
         )
-        self._shared = {}
+        self.cells = _CellTables(cfg, self.layout, self.schedule)
+        self.symbols, self.unit_noise = _symbols_and_noise(cfg, drop_index)
         self._key = (cfg.seed, drop_index)
-
-    def shared(self, key: tuple, make):
-        """A value every arm of the drop reads alike: make() for the first arm that asks.
-
-        ``key`` names the value and every config value it reads that is not
-        a draw input; the value is kept for the drop's later arms.
-        """
-        if key not in self._shared:
-            self._shared[key] = make()
-        return self._shared[key]
 
     def fading(self, fs: range, out: np.ndarray) -> np.ndarray:
         """Realizations fs of the fading tensor scaled by sqrt(gains), in out (len(fs), K, M, N)."""
@@ -482,11 +474,6 @@ def run_drop(cfg: ExperimentConfig, drop_index: int) -> DropResult:
     return _run_table([cfg], drop_index)[0]
 
 
-def _dense_row(cfg: ExperimentConfig) -> tuple[int, int, int]:
-    """(K, M, N): a realization's dense fading rows, which every arm of a table reads."""
-    return cfg.k_ues, cfg.m_aps, cfg.n_antennas
-
-
 def _run_table(cfgs: list[ExperimentConfig], drop_index: int) -> list[DropResult]:
     """Run the distinct arms cfgs of a table on one drop, in one pass.
 
@@ -497,9 +484,10 @@ def _run_table(cfgs: list[ExperimentConfig], drop_index: int) -> list[DropResult
     ``n_normals``, into a buffer that its block takes from the process pool
     and returns to it. Every arm then runs its chunk on those rows.
     """
-    drawn = Draw(cfgs[0], drop_index)
-    arms = [_Arm(cfg, drop_index, drawn) for cfg in cfgs]
-    shape = _dense_row(cfgs[0])
+    cfg = cfgs[0]
+    drawn = Draw(cfg, drop_index)
+    arms = [_Arm(arm_cfg, drop_index, drawn) for arm_cfg in cfgs]
+    shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)  # a realization's dense rows
     n_dense = math.prod(shape) if any(arm.bank is None for arm in arms) else 0
     n_law = max((arm.bank.n_normals for arm in arms if arm.bank is not None), default=0)
     per_chunk = max(1, CHUNK_BYTES // (16 * (n_dense + n_law)))
@@ -519,7 +507,7 @@ def _run_table(cfgs: list[ExperimentConfig], drop_index: int) -> list[DropResult
         with _SPARE_LOCK:
             _SPARE_CHUNKS.append(rows)
 
-    _in_blocks(cfgs[0].n_fading, run_block)
+    _in_blocks(cfg.n_fading, run_block)
     return [arm.finish() for arm in arms]
 
 
@@ -538,16 +526,10 @@ class _Arm:
         self.cfg, self.drop_index = cfg, drop_index
         layout, n_fading, n_ant = drawn.layout, cfg.n_fading, cfg.n_antennas
         assignment = build_assignment(layout, drawn.gains, cfg)
-        cells = drawn.shared(
-            ("cells", cfg.spacing_wavelengths), lambda: _CellTables(cfg, layout, drawn.schedule)
-        )
-        self.ctx = ctx = _DropContext(cfg, layout, assignment, drawn.schedule, drawn.gains, cells)
+        self.ctx = ctx = _DropContext(cfg, layout, assignment, drawn.gains, drawn.cells)
         # one scan epoch per fading realization, cycling through the sweep
         self.epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) cell ids
-        # every arm of the drop reads the same symbols and unit noise
-        self.symbols, self.unit_noise = drawn.shared(
-            ("symbols, noise", cfg.n_snapshots), lambda: _symbols_and_noise(cfg, drop_index)
-        )
+        self.symbols, self.unit_noise = drawn.symbols, drawn.unit_noise
         k_ues, m_total = ctx.amp.shape
         self.bank = _bank_tables(ctx, n_ant) if max(map(len, assignment.served)) <= n_ant else None
         self.link_of = (
@@ -665,21 +647,30 @@ def _law_gains(unit: np.ndarray, amp: np.ndarray, w: np.ndarray) -> tuple[np.nda
 
 
 class _BankTables(NamedTuple):
-    """An arm's served links and law stream, its bank rows AP by AP in order of
-    (b_m, m), and its batches by bank size b_m."""
+    """An arm's served links and law stream, and its banks batched by size b_m."""
 
     link_of: np.ndarray  # (K, M) served link ids by (UE, serving slot), -1 off the serving sets
     sqrt_g_links: np.ndarray  # (links, 1): each served link's sqrt(g_km)
     n_law: int  # the stream's normals of the served links, N per link
     n_normals: int  # every normal the arm reads per realization
-    aps: np.ndarray  # the APs with a bank
-    first_row: np.ndarray  # each one's first row
-    row_ap: np.ndarray  # each row's AP
-    is_ue: np.ndarray  # whether a row is a UE row; the last row of a sensing AP is not
-    symbol: np.ndarray  # the column of its symbol in [x, x0]
-    amp: np.ndarray  # its amplitude
-    link: np.ndarray  # a UE row's served link, -1 for a sensing row
-    batches: list  # a _BankBatch per bank size
+    batches: list  # a _BankBatch per bank size, sizes ascending
+
+
+class _BankBatch(NamedTuple):
+    """The tables of one bank size b: A APs, each with b rows, a row per served
+    UE in ascending order and then, if the AP senses, its sensing row."""
+
+    aps: np.ndarray  # (A,) ascending
+    slots: np.ndarray  # (A, K, d): each AP's law normals toward every UE, d = min(b, N)
+    scale: np.ndarray  # (A, K, 1): sqrt(g_km)
+    amp: np.ndarray  # (A, b, 1): the rows' amplitudes
+    symbol: np.ndarray  # (A, b): the column of each row's symbol in [x, x0]
+    ue_a: np.ndarray  # the UE rows, which are also the served links: their AP
+    ue_i: np.ndarray  # and their row in it
+    ue_k: np.ndarray  # their UE
+    ue_links: np.ndarray  # their served link
+    sense: np.ndarray  # (A,): the APs whose last row is a sensing row
+    layers: list  # (UEs, rows): each UE's rows, at most one per UE in a layer
 
 
 def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
@@ -695,22 +686,9 @@ def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
     # AP senses (a row without power stays with a zero amplitude); an unserved
     # link's gains take min(b_m, N) normals
     n_served = np.array([len(served) for served in ctx.assignment.served])
-    rows = n_served + (ctx.assignment.pointing >= 0)
+    sensing = ctx.assignment.pointing >= 0
+    rows = n_served + sensing
     width = np.minimum(rows, n_ant)
-
-    # the bank rows AP by AP, in order of (b_m, m): a row per served UE, then
-    # the sensing row, each with the column of its symbol, its amplitude and,
-    # for a UE row, its served link
-    bank_aps = np.flatnonzero(rows > 0)
-    bank_aps = bank_aps[np.argsort(rows[bank_aps], kind="stable")]
-    row_ap = np.repeat(bank_aps, rows[bank_aps])
-    first_row = np.cumsum(rows[bank_aps]) - rows[bank_aps]
-    is_ue = np.arange(len(row_ap)) - np.repeat(first_row, rows[bank_aps]) < n_served[row_ap]
-    symbol = k_ues + row_ap  # a sensing row's symbol is x0 of its AP
-    symbol[is_ue] = np.concatenate([ctx.assignment.served[m] for m in bank_aps])
-    row_amp = np.where(is_ue, ctx.ue_amp[row_ap], ctx.sqrt_eta0[row_ap])
-    row_link = np.full(len(row_ap), -1)
-    row_link[is_ue] = link_of[symbol[is_ue], row_ap[is_ue]]
 
     # AP m's unserved links take the law's normals after the served links', in
     # UE order; a served link reads the stream's first normals, and its law
@@ -721,34 +699,31 @@ def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
     starts = n_law + np.cumsum(n_off) - n_off
     slot = np.where(served, 0, starts + (np.cumsum(~served, axis=0) - 1) * width)  # (K, M)
 
-    batches, r0 = [], 0
-    for b in np.unique(rows[bank_aps]):
-        aps = bank_aps[rows[bank_aps] == b]
-        batch = slice(r0, r0 + len(aps) * b)
-        ue_a, ue_i = np.nonzero(is_ue[batch].reshape(len(aps), b))  # also the served links
-        ue_rows = r0 + ue_a * b + ue_i
+    batches = []
+    for b in np.unique(rows[rows > 0]):
+        aps = np.flatnonzero(rows == b)
+        is_ue = np.arange(b) < n_served[aps, None]  # (A, b)
+        symbol = np.repeat(k_ues + aps[:, None], b, axis=1)  # a sensing row's is x0 of its AP
+        symbol[is_ue] = np.concatenate([ctx.assignment.served[m] for m in aps])
+        ue_a, ue_i = np.nonzero(is_ue)
+        ue_k = symbol[ue_a, ue_i]
         batches.append(
             _BankBatch(
-                size=b,
                 aps=aps,
-                rows=batch,
                 slots=slot[:, aps].T[:, :, None] + np.arange(width[aps[0]]),
                 scale=np.sqrt(ctx.gains[:, aps]).T[:, :, None],
-                amp=row_amp[batch].reshape(len(aps), b, 1),
+                amp=np.where(is_ue, ctx.ue_amp[aps, None], ctx.sqrt_eta0[aps, None])[..., None],
+                symbol=symbol,
                 ue_a=ue_a,
                 ue_i=ue_i,
-                ue_k=symbol[ue_rows],
-                ue_links=row_link[ue_rows],
-                sense=~is_ue[batch].reshape(len(aps), b)[:, -1],
-                layers=_layers(symbol[ue_rows], ue_rows - r0),
+                ue_k=ue_k,
+                ue_links=link_of[ue_k, aps[ue_a]],
+                sense=sensing[aps],
+                layers=_layers(ue_k, ue_a * b + ue_i),
             )
         )
-        r0 = batch.stop
     sqrt_g_links = np.sqrt(ctx.gains[link_ue, link_ap])[:, None]
-    return _BankTables(
-        link_of, sqrt_g_links, n_law, n_law + int(n_off.sum()),
-        bank_aps, first_row, row_ap, is_ue, symbol, row_amp, row_link, batches
-    )
+    return _BankTables(link_of, sqrt_g_links, n_law, n_law + int(n_off.sum()), batches)
 
 
 def _bank_downlink(
@@ -774,8 +749,9 @@ def _bank_downlink(
     ``normals`` and of each snapshot's symbols (x (F, K), x0 (F, M)).
     ``normals`` holds the served links' N normals each, then the unserved
     links' normals AP by AP in ascending order, each AP's by UE. The banks
-    are batched by size b_m. The sensing row comes last, so L_m's UE rows,
-    and every UE-beam gain, do not depend on the sensing beam.
+    are batched by size b_m, and each batch also forms its APs' transmit
+    signals. The sensing row comes last, so L_m's UE rows, and every UE-beam
+    gain, do not depend on the sensing beam.
     """
     n_fading, _, n_ant = h_links.shape
     k_ues, m_total = bank.link_of.shape
@@ -783,13 +759,15 @@ def _bank_downlink(
     norms = np.sqrt(np.einsum("...i,...i->...", h_re, h_re))  # (F, links)
     unit = h_links.conj()
     unit /= norms[..., None]
-    bank_rows = np.empty((n_fading, len(bank.row_ap), n_ant), dtype=complex)  # unit rows
-    bank_rows[:, bank.is_ue] = unit[:, bank.link[bank.is_ue]]
-    bank_rows[:, ~bank.is_ue] = w0[:, bank.row_ap[~bank.is_ue]].conj()
     a = np.zeros((n_fading, k_ues, k_ues), dtype=complex)  # a[f, k, j]: UE k's beams at UE j
     leak = np.zeros((n_fading, k_ues))
+    s_tx = np.zeros((len(symbols), n_fading, m_total, n_ant), dtype=complex)
+    columns = [np.concatenate([x, x0], axis=1) for x, x0 in symbols]  # (F, K + M) each
     for bt in bank.batches:
-        rows = bank_rows[:, bt.rows].reshape(n_fading, len(bt.aps), bt.size, n_ant)
+        n_aps, b = bt.symbol.shape
+        rows = np.empty((n_fading, n_aps, b, n_ant), dtype=complex)  # the unit rows
+        rows[:, bt.ue_a, bt.ue_i] = unit[:, bt.ue_links]
+        rows[:, bt.sense, -1] = w0[:, bt.aps[bt.sense]].conj()
         w = normals[:, bt.slots]  # (F, A, K, d)
         w *= bt.scale
         # every row's gain toward every UE, (F, A, b, K)
@@ -804,30 +782,12 @@ def _bank_downlink(
         g_rows = g.reshape(n_fading, -1, k_ues)
         for ues, ue_rows in bt.layers:  # a UE's beams from all its serving APs add up
             a[:, ues] += g_rows[:, ue_rows]
-    power = (np.abs(a) ** 2).transpose(0, 2, 1)
-
-    s_tx = np.zeros((len(symbols), n_fading, m_total, n_ant), dtype=complex)
-    for s_j, (x, x0) in zip(s_tx, symbols):
-        amps = (bank.amp * np.concatenate([x, x0], axis=1)[:, bank.symbol].conj())[:, :, None]
-        s_j[:, bank.aps] = np.add.reduceat(bank_rows * amps, bank.first_row, axis=1).conj()
-    return power, leak, s_tx
-
-
-class _BankBatch(NamedTuple):
-    """The index tables of one bank size b: A APs, each with b rows."""
-
-    size: int
-    aps: np.ndarray  # (A,)
-    rows: slice  # their rows among all bank rows
-    slots: np.ndarray  # (A, K, d): each AP's law normals toward every UE, d = min(b, N)
-    scale: np.ndarray  # (A, K, 1): sqrt(g_km)
-    amp: np.ndarray  # (A, b, 1): the rows' amplitudes
-    ue_a: np.ndarray  # the UE rows, which are also the served links: their AP
-    ue_i: np.ndarray  # and their row in it
-    ue_k: np.ndarray  # their UE
-    ue_links: np.ndarray  # their served link
-    sense: np.ndarray  # (A,): the APs whose last row is a sensing row
-    layers: list  # (UEs, rows): each UE's rows, at most one per UE in a layer
+        # each AP's signal: its rows times their amplitudes and conjugated symbols,
+        # summed by reduceat (sum over an axis would add them in another order)
+        for s_j, x in zip(s_tx, columns):
+            beams = (rows * (bt.amp * x[:, bt.symbol, None].conj())).reshape(n_fading, -1, n_ant)
+            s_j[:, bt.aps] = np.add.reduceat(beams, np.arange(0, n_aps * b, b), axis=1).conj()
+    return (np.abs(a) ** 2).transpose(0, 2, 1), leak, s_tx
 
 
 def _layers(ues: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

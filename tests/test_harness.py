@@ -31,6 +31,7 @@ from cfisac.harness import (
     _S_SYMBOL,
     _DRAW_INPUTS,
     Draw,
+    _CellTables,
     _DropContext,
     _direct_path,
     _mf_beams,
@@ -361,12 +362,16 @@ class TestRunExperiment:
             run_arms({"a": cfg, "b": cfg.replace(seed=6, mode="TC")})
         with pytest.raises(ConfigError, match="n_drops differs"):
             run_arms({"a": cfg, "b": cfg.replace(n_drops=1)})
+        # the draw holds each snapshot's symbols and noise, and the cell tables
+        for name, value in (("n_snapshots", 2), ("spacing_wavelengths", 0.25)):
+            with pytest.raises(ConfigError, match=f"'b' does not share the table's draw: {name}"):
+                run_arms({"a": cfg, "b": cfg.replace(**{name: value})})
         assert calls == []
 
     def test_draw_inputs_are_what_draw_reads(self):
         # the runner checks that a table's arms agree on every value the shared
-        # draw and the shared rows read; that list must be exactly what Draw and
-        # the shape of a realization's dense rows read
+        # draw reads, which include the shape of a realization's dense rows; that
+        # list must be exactly what Draw reads
         read = set()
 
         class Spy:
@@ -380,7 +385,6 @@ class TestRunExperiment:
         for changes in ({}, {"shadowing_enabled": False}, {"bandwidth_matched_cells": True}):
             spy = Spy(ExperimentConfig(**{**TINY, **changes}))
             Draw(spy, 0)
-            harness._dense_row(spy)
         assert read == set(_DRAW_INPUTS)
         assert {"k_ues", "m_aps", "n_antennas"} <= read
 
@@ -637,7 +641,7 @@ def _drop_context(cfg, drop=0, layout=None, all_cells=False):
     if all_cells:
         schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
     assignment = build_assignment(layout, drawn.gains, cfg)
-    ctx = _DropContext(cfg, layout, assignment, schedule, drawn.gains)
+    ctx = _DropContext(cfg, layout, assignment, drawn.gains, _CellTables(cfg, layout, schedule))
     shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
     return ctx, drawn.fading(range(cfg.n_fading), np.empty(shape, dtype=complex))
 
@@ -943,7 +947,7 @@ class TestEchoLaw:
         drawn = Draw(cfg, 0)
         layout, target = drawn.layout, drawn.layout.targets[0]
         assignment = build_assignment(layout, drawn.gains, cfg)
-        ctx = _DropContext(cfg, layout, assignment, drawn.schedule, drawn.gains)
+        ctx = _DropContext(cfg, layout, assignment, drawn.gains, drawn.cells)
         m_tx, m_rx = ctx.tx_all[0], ctx.rx_all[0]
         p_tx = 0.5  # W
         beam = complex_normal(np.random.default_rng(8), cfg.n_antennas)
