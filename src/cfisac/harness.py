@@ -13,20 +13,22 @@ drop by drop, and ``run_drop`` is a table of one arm. ``Draw`` holds what a
 drop's arms share: layout, gains, schedule, cell tables, and each snapshot's
 symbols and noise, so a table's arms agree on every value it reads
 (``_DRAW_INPUTS``), ``n_snapshots`` and ``spacing_wavelengths`` included.
-The fading rows come in two forms, realization f from its own stream (seed,
-drop, purpose, f): the dense (K, M, N) channels for arms on the dense
-downlink path, and for bank-path arms (UC/UTC) a flat stream of normals from
-which each arm draws its served links in full and every other link in law
-through its AP's bank (``_bank_downlink``). A table runs all its arms in one
-pass over realization blocks, one per core the process may use (``taskset``
-limits them). A block runs in equal chunks of at most ``CHUNK_BYTES`` of
-rows: each chunk draws its rows once into the block's pooled buffer, the
-dense rows if an arm needs them and the law stream up to the longest bank
-arm's, and every arm then runs its sensing beams, downlink and transmit
-signals on them. Each arm reads a prefix of the law stream, so it reads the
-same bytes alone and in any table. Neither the thread count nor the chunk
-size changes a byte, and no row outlives its chunk (``BENCH_22.json``,
-``BENCH_23.json``).
+Every arm reads one kind of fading row, realization f from its own stream
+(seed, drop, purpose, f): a flat stream of normals from which the arm draws
+its served links in full and every other link in law through its AP's
+bank. An arm takes one of two downlink formulas on it: the bank formula
+(``_bank_downlink``), or, where some AP serves more than N UEs (TC/CF with
+K > N), the dense one (``_dense_downlink``), which reads the served links as
+the (K, P, N) channels of the P transmit APs. A table runs all its arms in
+one pass over realization blocks, one per core the process may use
+(``taskset`` limits them). A block runs in equal chunks of at most
+``CHUNK_BYTES`` of rows: each chunk draws the law stream once, up to the
+longest arm's, into the block's pooled buffer, and every arm in turn writes
+its served channels into the buffer's tail and runs its sensing beams,
+downlink and transmit signals on them. Each arm reads a prefix of the law
+stream, so it reads the same bytes alone and in any table. Neither the
+thread count nor the chunk size changes a byte, and no row outlives its
+chunk (``BENCH_22.json``, ``BENCH_23.json``).
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ from .config import ConfigError, ExperimentConfig, VALID_MODES
 from .deployment import NetworkLayout, ScanSchedule, build_scan_schedule, generate_layout
 from .metrics import DropDiagnostics, DropResult, ResultSet, _aggregate, fronthaul_load
 
-# purposes of the per-drop random substreams
-(_S_LAYOUT, _S_SHADOW, _S_SCHED, _S_FADING, _S_SYMBOL, _S_NOISE, _S_RCS, _S_DIRECT,
- _S_BANK) = range(9)
+# purposes of the per-drop random substreams; purpose 3 drew the dense fading
+# tensor before every arm read the law stream (_S_BANK), and stays unused so
+# that every other stream keeps its seed
+_S_LAYOUT, _S_SHADOW, _S_SCHED = range(3)
+_S_SYMBOL, _S_NOISE, _S_RCS, _S_DIRECT, _S_BANK = range(4, 9)
 
 
 # a projected ZF beam with norm at most this times sqrt(N) falls back to MF
@@ -349,7 +353,7 @@ def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
     The squared norms are one einsum over the float64 view of h. Links with
     amp = 0 get a zero beam without a division, so an unserved zero channel
-    gives no NaN. The dense downlink path builds its beams here.
+    gives no NaN. The dense downlink formula builds its beams here.
     """
     h_re = h.view(np.float64)
     norm = np.sqrt(np.einsum("...i,...i->...", h_re, h_re))
@@ -359,7 +363,7 @@ def _mf_beams(h: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return w_conj
 
 
-# the bytes of fading rows, the dense tensor's and the law stream's, that a
+# the bytes of rows, the law stream's and an arm's served channels, that a
 # realization block holds at once; the blocks' row buffers of finished passes
 CHUNK_BYTES = 8 << 20
 _SPARE_CHUNKS, _SPARE_LOCK = [], threading.Lock()
@@ -386,19 +390,13 @@ class Draw:
 
     ``layout``, ``gains`` (shadowed UE-AP gains), ``schedule``, ``cells``
     (the ``_CellTables``), and each snapshot's ``symbols`` with the CN(0, 1)
-    ``unit_noise`` (``_symbols_and_noise``). The fading rows are drawn on
-    request into a buffer the caller owns, each realization f from its own
-    stream, and come back read-only:
-
-    - ``fading(fs, out)``, realizations fs of the (F, K, M, N) tensor of every
-      link from the streams (seed, drop, _S_FADING, f), scaled by sqrt(gains),
-      for dense-path arms;
-    - ``normals(fs, out)``, the first ``out.shape[1]`` CN(0, 1) values of each
-      realization's law stream (seed, drop, _S_BANK, f), for bank-path arms:
-      N per served link by (UE, serving slot), then min(b_m, N) per unserved
-      link, AP by AP (``_bank_downlink``). A shorter ``out`` holds a prefix of
-      a longer one's values, so an arm reads the same bytes alone and in a
-      table.
+    ``unit_noise`` (``_symbols_and_noise``). ``normals(fs, out)`` draws the
+    fading rows on request into a buffer the caller owns and returns them
+    read-only: the first ``out.shape[1]`` CN(0, 1) values of each
+    realization f's law stream (seed, drop, _S_BANK, f), N per served link by
+    (UE, serving slot), then min(b_m, N) per unserved link, AP by AP
+    (``_bank_downlink``). A shorter ``out`` holds a prefix of a longer one's
+    values, so an arm reads the same bytes alone and in a table.
 
     It keeps no row: the caller draws each chunk over the last.
     """
@@ -413,14 +411,6 @@ class Draw:
         self.cells = _CellTables(cfg, self.layout, self.schedule)
         self.symbols, self.unit_noise = _symbols_and_noise(cfg, drop_index)
         self._key = (cfg.seed, drop_index)
-
-    def fading(self, fs: range, out: np.ndarray) -> np.ndarray:
-        """Realizations fs of the fading tensor scaled by sqrt(gains), in out (len(fs), K, M, N)."""
-        sqrt_g = np.sqrt(self.gains)[:, :, None]
-        for f, row in zip(fs, out):
-            rng = np.random.default_rng([*self._key, _S_FADING, f])
-            np.multiply(complex_normal(rng, row.shape), sqrt_g, out=row)
-        return _read_only(out)
 
     def normals(self, fs: range, out: np.ndarray) -> np.ndarray:
         """CN(0, 1) in out (len(fs), count): standard normal pairs (re, im) scaled by 1/sqrt(2)."""
@@ -479,31 +469,28 @@ def _run_table(cfgs: list[ExperimentConfig], drop_index: int) -> list[DropResult
 
     The arms agree on every ``_DRAW_INPUTS`` value. Each realization block,
     one per usable core, runs in equal chunks of at most ``CHUNK_BYTES`` of
-    rows. A chunk draws its rows once, the dense rows if an arm takes the
-    dense path and the law stream up to the longest bank arm's
-    ``n_normals``, into a buffer that its block takes from the process pool
-    and returns to it. Every arm then runs its chunk on those rows.
+    rows, in a buffer that its block takes from the process pool and returns
+    to it. A chunk draws the law stream once into the buffer, up to the
+    longest arm's ``n_normals``; each arm in turn then writes its served
+    channels into the buffer's tail and runs its chunk on them.
     """
     cfg = cfgs[0]
     drawn = Draw(cfg, drop_index)
     arms = [_Arm(arm_cfg, drop_index, drawn) for arm_cfg in cfgs]
-    shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)  # a realization's dense rows
-    n_dense = math.prod(shape) if any(arm.bank is None for arm in arms) else 0
-    n_law = max((arm.bank.n_normals for arm in arms if arm.bank is not None), default=0)
-    per_chunk = max(1, CHUNK_BYTES // (16 * (n_dense + n_law)))
+    n_normals = max(arm.bank.n_normals for arm in arms)
+    n_links = max(arm.bank.n_law for arm in arms)  # the served channels' values
+    per_chunk = max(1, CHUNK_BYTES // (16 * (n_normals + n_links)))
 
     def run_block(block: range) -> None:
         with _SPARE_LOCK:
             rows = _SPARE_CHUNKS.pop() if _SPARE_CHUNKS else np.empty(0, dtype=complex)
         for chunk in _split(block, -(-len(block) // per_chunk)):
             n = len(chunk)
-            if len(rows) < n * (n_dense + n_law):
-                rows = np.empty(n * (n_dense + n_law), dtype=complex)
-            dense, law = rows[: n * n_dense], rows[n * n_dense : n * (n_dense + n_law)]
-            h = drawn.fading(chunk, dense.reshape(n, *shape)) if n_dense else None
-            normals = drawn.normals(chunk, law.reshape(n, n_law)) if n_law else None
+            if len(rows) < n * (n_normals + n_links):
+                rows = np.empty(n * (n_normals + n_links), dtype=complex)
+            normals = drawn.normals(chunk, rows[: n * n_normals].reshape(n, n_normals))
             for arm in arms:
-                arm.run_chunk(chunk, h, normals)
+                arm.run_chunk(chunk, normals, rows[n * n_normals : n * (n_normals + n_links)])
         with _SPARE_LOCK:
             _SPARE_CHUNKS.append(rows)
 
@@ -514,12 +501,13 @@ def _run_table(cfgs: list[ExperimentConfig], drop_index: int) -> list[DropResult
 class _Arm:
     """One arm on one drop: setup, the work of each chunk of rows, and finish.
 
-    The setup clusters the drop and builds its context. When no AP serves
-    more than N UEs the arm takes the bank path, with ``bank`` its tables,
-    and reads the law stream (``_bank_downlink``); otherwise ``bank`` is None
-    and it reads the dense rows. ``run_chunk`` runs a chunk's sensing beams,
-    downlink and transmit signals, and ``finish`` the SINR, echoes and
-    detection of all realizations.
+    The setup clusters the drop and builds its context and its ``bank``
+    tables, which say where each link reads the law stream. When some AP
+    serves more than N UEs (TC/CF with K > N), ``dense`` is set and the arm
+    takes the dense downlink formula; otherwise it takes the bank formula.
+    ``run_chunk`` runs a chunk's sensing beams, downlink and transmit
+    signals, and ``finish`` the SINR, echoes and detection of all
+    realizations.
     """
 
     def __init__(self, cfg: ExperimentConfig, drop_index: int, drawn: Draw):
@@ -531,31 +519,30 @@ class _Arm:
         self.epoch_cells = ctx.cell_of[np.arange(n_fading) % ctx.n_epochs]  # (F, L) cell ids
         self.symbols, self.unit_noise = drawn.symbols, drawn.unit_noise
         k_ues, m_total = ctx.amp.shape
-        self.bank = _bank_tables(ctx, n_ant) if max(map(len, assignment.served)) <= n_ant else None
-        self.link_of = (
-            np.arange(k_ues * m_total).reshape(k_ues, m_total)
-            if self.bank is None
-            else self.bank.link_of
-        )
+        self.bank = _bank_tables(ctx, n_ant)
+        self.dense = max(map(len, assignment.served)) > n_ant
         # communication side is snapshot-independent: the SINR reads each UE's
         # desired power, its row sum of cross-gain powers and its sensing leakage
         self.sinr_terms = np.empty((3, n_fading, k_ues))
         self.s_tx = np.empty((cfg.n_snapshots, n_fading, m_total, n_ant), dtype=complex)
         self.chunk_diagnostics = []
 
-    def run_chunk(self, chunk: range, h: np.ndarray | None, normals: np.ndarray | None) -> None:
-        """Realizations chunk from their dense rows h or their law stream normals."""
+    def run_chunk(self, chunk: range, normals: np.ndarray, links: np.ndarray) -> None:
+        """Realizations chunk from their law stream normals.
+
+        The served links' channels, the stream's first N normals per link
+        times sqrt(g_km), go to the start of ``links``, a flat buffer that the
+        arm overwrites. A dense arm's links run by (UE, transmit AP), so they
+        are the (K, P, N) channels of the transmit APs.
+        """
         ctx, bank, fs = self.ctx, self.bank, slice(chunk.start, chunk.stop)
-        n_ant = self.cfg.n_antennas
+        n, n_ant = len(chunk), self.cfg.n_antennas
         symbols = [(x[fs], x0[fs]) for x, x0 in self.symbols]
-        if bank is None:
-            h_links = h.reshape(len(chunk), -1, n_ant)
-        else:
-            # served links in full: the stream's first N normals per link
-            z = normals[:, : bank.n_law].reshape(len(chunk), len(bank.sqrt_g_links), n_ant)
-            h_links = z * bank.sqrt_g_links
-        w0, diag = _sense_beams(ctx, h_links, self.link_of, self.epoch_cells[fs])
-        if bank is None:
+        z = normals[:, : bank.n_law].reshape(n, len(bank.sqrt_g_links), n_ant)
+        h_links = np.multiply(z, bank.sqrt_g_links, out=links[: n * bank.n_law].reshape(z.shape))
+        w0, diag = _sense_beams(ctx, h_links, bank.link_of, self.epoch_cells[fs])
+        if self.dense:
+            h = h_links.reshape(n, len(ctx.amp), len(ctx.tx_all), n_ant)
             out = _dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, symbols)
         else:
             out = _bank_downlink(bank, h_links, w0, normals, symbols)
@@ -801,19 +788,24 @@ def _layers(ues: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndar
 def _dense_downlink(ctx: _DropContext, h: np.ndarray, w0_amp: np.ndarray, symbols: list) -> tuple:
     """Cross-gain powers |a|^2 (F, K, K), sensing leakage (F, K) and s_tx (J, F, M, N).
 
-    The dense (F, K, M, N) beams serve all (k, m) links at once, for drops
-    where some AP serves more than N UEs (TC/CF with K > N). The
-    realizations are those of h, w0_amp and each snapshot's symbols
-    (x (F, K), x0 (F, M)).
+    For drops where some AP serves more than N UEs (TC/CF with K > N), every
+    transmit AP serves every UE: h (F, K, P, N) holds the channels of all
+    links of the P transmit APs ``ctx.tx_all``, and dense (F, K, P, N) beams
+    serve them at once. The receive APs send nothing, so their rows of s_tx
+    stay zero. The realizations are those of h, w0_amp (F, M, N) and each
+    snapshot's symbols (x (F, K), x0 (F, M)).
     """
+    tx = ctx.tx_all
+    w0_tx = w0_amp[:, tx]
     # leakage first: its temporaries and the beam tensor are never live together
-    leak = kernels.sense_leakage(h, w0_amp)
-    w_conj = _mf_beams(h, ctx.amp)
+    leak = kernels.sense_leakage(h, w0_tx)
+    w_conj = _mf_beams(h, ctx.amp[:, tx])
     power = np.abs(kernels.cross_gains(h, w_conj)) ** 2
-    s_tx = np.empty((len(symbols), *w0_amp.shape), dtype=complex)
+    s_tx = np.zeros((len(symbols), *w0_amp.shape), dtype=complex)
     for s_j, (x, x0) in zip(s_tx, symbols):
-        np.conjugate(np.einsum("fkmn,fk->fmn", w_conj, x.conj(), optimize=True), out=s_j)
-        s_j += w0_amp * x0[:, :, None]
+        s_p = np.conjugate(np.einsum("fkpn,fk->fpn", w_conj, x.conj(), optimize=True))
+        s_p += w0_tx * x0[:, tx, None]
+        s_j[:, tx] = s_p
     return power, leak, s_tx
 
 

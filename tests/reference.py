@@ -3,9 +3,9 @@
 One link, one AP or one UE at a time, with explicit dict maps and plain
 loops: the half-open containment test of a region or cell footprint, the
 view angles and steering vectors, the AP-AP and target channels,
-the correlated RCS draw, the per-AP beams and transmit vectors, the law
-stream that runs the bank path on given channels, the detection dictionary
-with its GLRT and sensing SNR, and the downlink SINR.
+the correlated RCS draw, the per-AP beams and transmit vectors, every link's
+fading channel, the law stream that runs an arm on given channels, the
+detection dictionary with its GLRT and sensing SNR, and the downlink SINR.
 The library never calls any of it (tests/test_reference.py checks that no
 ``cfisac`` module grows a name defined here).
 """
@@ -378,6 +378,27 @@ def law_normals(
             h_km = h[(k, m)] if lower is None else np.linalg.solve(lower, bank @ h[(k, m)])
             values.append(h_km / math.sqrt(large_scale[k, m]))
     return np.concatenate(values)
+
+
+# the purpose of the per-drop streams from which the engine once drew a dense
+# fading tensor: it seeds none of them now, and the tests draw every link's
+# reference channel from them
+DENSE_PURPOSE = 3
+
+
+def fading_tensor(
+    seed: int, drop: int, gains: np.ndarray, n_fading: int, n_ant: int
+) -> np.ndarray:
+    """Every link's channel, (F, K, M, N): realization f is CN(0, I_N) per link
+    from the stream (seed, drop, DENSE_PURPOSE, f), scaled by sqrt(g_km)."""
+    sqrt_g = np.sqrt(gains)[:, :, None]
+    shape = (*gains.shape, n_ant)
+    return np.stack(
+        [
+            complex_normal(np.random.default_rng([seed, drop, DENSE_PURPOSE, f]), shape) * sqrt_g
+            for f in range(n_fading)
+        ]
+    )
 
 
 # --- observables, dictionaries, GLRT and sensing SNR -------------------------

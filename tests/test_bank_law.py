@@ -22,7 +22,7 @@ from cfisac.harness import (
     run_experiment,
 )
 from cfisac.metrics import write_results
-from reference import build_plan, law_normals
+from reference import DENSE_PURPOSE, build_plan, fading_tensor, law_normals
 
 SMALL = dict(
     m_aps=10,
@@ -74,13 +74,12 @@ def test_unserved_gain_covariance_at_fixed_bank():
 
 def test_law_rates_match_dense_rates_in_distribution(monkeypatch):
     # the same layout and banks, 2000 realizations: rates from the law stream
-    # against rates from the full fading tensor (the dense path's draw), which
-    # the bank path reads as the law stream that rebuilds it
+    # against rates from a full fading tensor drawn here, which the arm reads
+    # as the law stream that rebuilds it
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 2000})
     law = run_drop(cfg, 0).rates_bps.ravel()
     drawn = Draw(cfg, 0)
-    shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
-    h = drawn.fading(range(cfg.n_fading), np.empty(shape, dtype=complex))
+    h = fading_tensor(cfg.seed, 0, drawn.gains, cfg.n_fading, cfg.n_antennas)
     layout, gains, schedule = drawn.layout, drawn.gains, drawn.schedule
     assignment = build_assignment(layout, gains, cfg)
     geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
@@ -143,23 +142,57 @@ def test_a_shorter_out_holds_a_prefix_of_the_stream():
 
 
 def test_bank_tables_never_draw_the_dense_tensor(monkeypatch):
-    # the dense realizations drawn, as (drop, f), read off their stream keys
-    drawn = []
-    draw = harness.complex_normal
-
-    def spy(rng, shape):
-        seed, drop, purpose, *f = rng.bit_generator.seed_seq.entropy
-        if purpose == harness._S_FADING:
-            drawn.append((drop, *f))
-        return draw(rng, shape)
-
-    monkeypatch.setattr(harness, "complex_normal", spy)
+    # every arm of every mode, TC and CF at K > N included, reads the law
+    # stream: no stream of the retired dense tensor's purpose is seeded, and
+    # the law stream is the only one seeded per realization
+    seeded = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key))
     cfg = ExperimentConfig(**SMALL)
     run_arms(preset_rx_sweep(cfg, [1, 2]))
-    assert drawn == []
     run_arms(preset_mode_comparison(cfg.replace(k_ues=6)))  # K > N: TC and CF are dense
-    # each realization drawn once per drop, read by both dense arms
-    assert sorted(drawn) == [(d, f) for d in range(cfg.n_drops) for f in range(cfg.n_fading)]
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    keys = [key for key in seeded if isinstance(key, list) and len(key) >= 3]
+    assert keys and all(key[2] != DENSE_PURPOSE for key in keys)
+    per_realization = [key for key in keys if len(key) == 4]
+    assert per_realization and all(key[2] == harness._S_BANK for key in per_realization)
+
+
+def test_dense_formula_on_law_channels_matches_the_bank_formula():
+    # CF at K <= N takes the bank formula, and every link of its transmit APs
+    # is served: its law stream is the served channels alone, ordered by (UE,
+    # transmit AP), so it is the (K, P, N) tensor that the dense formula reads,
+    # and both formulas give the same powers, leakage and transmit signals
+    cfg = ExperimentConfig(**{**SMALL, "mode": "CF", "n_fading": 6, "n_snapshots": 2})
+    drawn = Draw(cfg, 0)
+    arm = harness._Arm(cfg, 0, drawn)
+    ctx, bank, tx = arm.ctx, arm.bank, arm.ctx.tx_all
+    n, k_ues, n_ant = cfg.n_fading, cfg.k_ues, cfg.n_antennas
+    assert not arm.dense and bank.n_normals == bank.n_law == k_ues * len(tx) * n_ant
+    np.testing.assert_array_equal(bank.link_of[:, tx], np.arange(k_ues * len(tx)).reshape(k_ues, -1))
+    normals = drawn.normals(range(n), np.empty((n, bank.n_normals), dtype=complex))
+    h_links = normals.reshape(n, -1, n_ant) * bank.sqrt_g_links
+    w0, _ = harness._sense_beams(ctx, h_links, bank.link_of, arm.epoch_cells)
+    law = harness._bank_downlink(bank, h_links, w0, normals, drawn.symbols)
+    h = h_links.reshape(n, k_ues, len(tx), n_ant)
+    dense = harness._dense_downlink(ctx, h, ctx.sqrt_eta0[None, :, None] * w0, drawn.symbols)
+    for got, expected in zip(dense, law):
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+    s_tx = dense[2]
+    assert s_tx[:, :, tx].all() and not s_tx[:, :, ctx.rx_all].any()
+
+
+@pytest.mark.parametrize("mode", ["TC", "CF"])
+def test_dense_arms_read_their_links_by_ue_and_transmit_ap(mode):
+    # K > N: every transmit AP serves every UE, so the served links run by
+    # (UE, transmit AP) and their channels reshape to (K, P, N)
+    cfg = ExperimentConfig(**{**SMALL, "mode": mode, "k_ues": 6})
+    arm = harness._Arm(cfg, 0, Draw(cfg, 0))
+    tx = arm.ctx.tx_all
+    assert arm.dense and arm.bank.n_normals == arm.bank.n_law
+    expected = np.arange(cfg.k_ues * len(tx)).reshape(cfg.k_ues, len(tx))
+    np.testing.assert_array_equal(arm.bank.link_of[:, tx], expected)
+    assert (arm.bank.link_of[:, arm.ctx.rx_all] == -1).all()
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0])

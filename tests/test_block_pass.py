@@ -90,8 +90,9 @@ def test_multi_snapshot_arms_keep_their_bytes(mode, beamformer, k_zf):
 
 
 def test_uc_extends_the_utc_stream_and_keeps_its_bytes():
-    # UC reads a longer prefix of UTC's law stream, TC and CF the dense rows,
-    # and the ZF arms the MF arm's law stream: each keeps its bytes in a table
+    # UC reads a longer prefix of UTC's law stream, TC and CF their own prefix
+    # of it, and the ZF arms the MF arm's law stream: each keeps its bytes in
+    # a table
     tables = {
         "modes": preset_mode_comparison(_pinned_cfg()),
         "beamformers": preset_beamformer_comparison(_pinned_cfg(), [1, 2]),
@@ -101,8 +102,8 @@ def test_uc_extends_the_utc_stream_and_keeps_its_bytes():
         assert got == IN_TABLE[name], name
 
 
-# K = 6 UEs on N = 4 antennas: UTC caps every AP at N UEs (bank path), CF
-# serves all K from each AP (dense path)
+# K = 6 UEs on N = 4 antennas: UTC caps every AP at N UEs (bank formula), CF
+# serves all K from each AP (dense formula)
 SMALL = dict(
     m_aps=10,
     k_ues=6,
@@ -199,11 +200,10 @@ def test_one_pass_per_drop(monkeypatch):
 
 
 def test_a_table_draws_each_law_realization_once(monkeypatch):
-    # K = 6 on N = 4: UTC and UC take the bank path, UC with a longer law
-    # stream than UTC, and TC and CF the dense one. Each chunk draws its dense
-    # rows and its law rows once for all four arms, so each realization's two
-    # streams are seeded once per drop, in chunks of one realization or of a
-    # whole block
+    # K = 6 on N = 4: UTC and UC take the bank formula, UC with a longer law
+    # stream than UTC, and TC and CF the dense one. Each chunk draws its law
+    # rows once for all four arms, so each realization's stream is seeded
+    # once per drop, in chunks of one realization or of a whole block
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 5, "n_drops": 2})
     default_rng = np.random.default_rng
     monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
@@ -215,22 +215,16 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
         )
         run_arms(preset_mode_comparison(cfg))
         monkeypatch.setattr(np.random, "default_rng", default_rng)
-        for purpose in (harness._S_FADING, harness._S_BANK):
-            keys = sorted(key for key in seeded if len(key) == 4 and key[2] == purpose)
-            every = range(cfg.n_fading)
-            assert keys == [[cfg.seed, d, purpose, f] for d in range(cfg.n_drops) for f in every]
+        keys = sorted(key for key in seeded if len(key) == 4 and key[2] == harness._S_BANK)
+        every = range(cfg.n_fading)
+        assert keys == [[cfg.seed, d, harness._S_BANK, f] for d in range(cfg.n_drops) for f in every]
 
 
-def _row_bytes(cfg: ExperimentConfig, monkeypatch) -> int:
-    """Bytes of one realization's fading rows: the dense tensor's or the law stream's."""
-    counts = []
-    normals = Draw.normals
-    monkeypatch.setattr(
-        Draw, "normals", lambda draw, fs, out: counts.append(out.shape[1]) or normals(draw, fs, out)
-    )
-    run_drop(cfg, 0)
-    monkeypatch.setattr(Draw, "normals", normals)
-    return 16 * (counts[0] if counts else cfg.k_ues * cfg.m_aps * cfg.n_antennas)
+def _row_bytes(cfgs: list[ExperimentConfig]) -> int:
+    """Bytes of one realization's rows in a table: the longest law stream and
+    the most served channels that an arm writes after it."""
+    banks = [harness._Arm(cfg, 0, Draw(cfg, 0)).bank for cfg in cfgs]
+    return 16 * (max(bank.n_normals for bank in banks) + max(bank.n_law for bank in banks))
 
 
 @pytest.mark.parametrize("cores", [1, 4])
@@ -238,10 +232,10 @@ def _row_bytes(cfg: ExperimentConfig, monkeypatch) -> int:
 def test_outputs_do_not_depend_on_the_chunk_size(arm, cores, monkeypatch):
     # chunks of 1 and 2 realizations and of a whole block, as a lone arm and
     # as the second arm of a table whose first arm takes the other downlink
-    # path, so that its chunks hold dense and law rows (row buffers reused
-    # across chunks and drops)
+    # formula and writes its own served channels into the same buffer (row
+    # buffers reused across chunks and drops)
     cfg = _cfg(arm, 7)
-    row_bytes = _row_bytes(cfg, monkeypatch)
+    row_bytes = _row_bytes([cfg])
     chunks = []
     sense_beams = harness._sense_beams
     monkeypatch.setattr(
@@ -269,11 +263,12 @@ def test_outputs_do_not_depend_on_the_chunk_size(arm, cores, monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 4])
 def test_a_table_does_not_depend_on_the_chunk_size(cores, monkeypatch):
+    # chunks of a whole block, of one realization and of two
     cfg = ExperimentConfig(**{**SMALL, "n_fading": 7, "n_drops": 2})
-    dense_rows = 16 * cfg.k_ues * cfg.m_aps * cfg.n_antennas
+    row_bytes = _row_bytes(list(preset_mode_comparison(cfg).values()))
     monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
     tables = []
-    for budget in (1 << 40, 1, 2 * dense_rows):
+    for budget in (1 << 40, 1, 2 * row_bytes):
         monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
         tables.append(run_arms(preset_mode_comparison(cfg)))
     for table in tables[1:]:
@@ -312,8 +307,8 @@ def test_concurrent_lone_arms_keep_their_bytes(monkeypatch):
 def test_peak_memory_is_flat_in_the_fading_count(mode, monkeypatch):
     # chunks of one realization: the rows, beams and cross gains of a chunk
     # do not grow with F, so the drop's peak grows by what it keeps for every
-    # realization, for one arm or for the mode table's four (two dense, two
-    # bank) on one draw. 250 m cells give 4 inspected cells per region at every
+    # realization, for one arm or for the mode table's four (two on the dense
+    # formula, two on the bank formula) on one draw. 250 m cells give 4 inspected cells per region at every
     # F, so the cell tables match. Without targets the echo stage holds no
     # per-target projections, which this bound does not count.
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)

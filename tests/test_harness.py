@@ -22,7 +22,7 @@ from cfisac.clustering import build_assignment
 from cfisac.config import ConfigError, ExperimentConfig, apply_overrides, parse_config_text
 from cfisac.deployment import build_scan_schedule, generate_layout
 from cfisac.harness import (
-    _S_FADING,
+    _S_BANK,
     _S_LAYOUT,
     _S_NOISE,
     _S_RCS,
@@ -57,6 +57,7 @@ from reference import (
     communication_sinr,
     contains_xy,
     draw_ap_ap_channel,
+    fading_tensor,
     glrt_statistic,
     law_normals,
     rate_bps,
@@ -129,11 +130,6 @@ class TestRunDrop:
         cfg = ExperimentConfig(**TINY)
         drawn = Draw(cfg, 0)
         block, every = range(1, 3), range(cfg.n_fading)
-        for fs in (block, every):
-            out = np.empty((len(fs), cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
-            with pytest.raises(ValueError, match="read-only"):
-                drawn.fading(fs, out)[0, 0, 0, 0] = 0.0
-            out[0, 0, 0, 0] = 0.0
         for fs, count in ((block, 5), (every, 5), (block, 8)):
             out = np.empty((len(fs), count), dtype=complex)
             with pytest.raises(ValueError, match="read-only"):
@@ -141,23 +137,21 @@ class TestRunDrop:
             out[0, 0] = 0.0
 
     def test_fading_is_drawn_realization_by_realization(self):
-        # realization f alone from its stream (seed, drop, purpose, f), scaled by
-        # sqrt(gains), whichever rows a request holds
+        # realization f alone from its law stream (seed, drop, purpose, f),
+        # whichever rows a request holds
         cfg = ExperimentConfig(**{**TINY, "n_fading": 5})
-        drawn = Draw(cfg, 1)
-        shape = (cfg.k_ues, cfg.m_aps, cfg.n_antennas)
+        drawn, count = Draw(cfg, 1), 24
         blocks = {
-            block: drawn.fading(block, np.empty((len(block), *shape), dtype=complex))
+            block: drawn.normals(block, np.empty((len(block), count), dtype=complex))
             for block in (range(3, 5), range(0, 1), range(1, 3))
         }
-        h = drawn.fading(range(cfg.n_fading), np.empty((cfg.n_fading, *shape), dtype=complex))
+        z = drawn.normals(range(cfg.n_fading), np.empty((cfg.n_fading, count), dtype=complex))
         for f in range(cfg.n_fading):
-            rng = np.random.default_rng([cfg.seed, 1, _S_FADING, f])
-            np.testing.assert_array_equal(
-                h[f], complex_normal(rng, shape) * np.sqrt(drawn.gains)[:, :, None]
-            )
+            rng = np.random.default_rng([cfg.seed, 1, _S_BANK, f])
+            expected = (rng.standard_normal(2 * count) * (1.0 / np.sqrt(2.0))).view(complex)
+            np.testing.assert_array_equal(z[f], expected)
         for block, rows in blocks.items():
-            np.testing.assert_array_equal(rows, h[block.start : block.stop])
+            np.testing.assert_array_equal(rows, z[block.start : block.stop])
 
     @pytest.mark.parametrize("n_fading", [1, 3, 7, 64])
     def test_fading_bytes_do_not_depend_on_the_core_count(self, n_fading, monkeypatch):
@@ -170,14 +164,12 @@ class TestRunDrop:
             for cores in (1, 4, 16):
                 monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
                 draw = Draw(cfg, 0)
-                h = np.empty((n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
                 law = [np.empty((n_fading, count), dtype=complex) for count in (9, 40)]
-                harness._in_blocks(n_fading, lambda fs: draw.fading(fs, h[fs.start : fs.stop]))
                 for rows in law:
                     harness._in_blocks(
                         n_fading, lambda fs: draw.normals(fs, rows[fs.start : fs.stop])
                     )
-                drawn.append((h, *law))
+                drawn.append(law)
         finally:
             sys.setswitchinterval(interval)
         for arrays in drawn[1:]:
@@ -186,20 +178,20 @@ class TestRunDrop:
 
     def test_a_failed_realization_fails_the_draw_and_leaves_no_thread(self, monkeypatch):
         cfg = ExperimentConfig(**{**TINY, "n_fading": 7})
-        failing = np.random.default_rng([cfg.seed, 0, _S_FADING, 4]).bit_generator.state
+        default_rng = np.random.default_rng
 
-        def draw(rng, shape):
-            if rng.bit_generator.state == failing:
+        def rng(key):
+            if key == [cfg.seed, 0, _S_BANK, 4]:
                 raise FloatingPointError("realization 4")
-            return complex_normal(rng, shape)
+            return default_rng(key)
 
         monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(harness, "complex_normal", draw)
+        monkeypatch.setattr(np.random, "default_rng", rng)
         draw = Draw(cfg, 0)
-        h = np.empty((cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas), dtype=complex)
+        z = np.empty((cfg.n_fading, 40), dtype=complex)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="realization 4"):
-            harness._in_blocks(cfg.n_fading, lambda fs: draw.fading(fs, h[fs.start : fs.stop]))
+            harness._in_blocks(cfg.n_fading, lambda fs: draw.normals(fs, z[fs.start : fs.stop]))
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
@@ -207,8 +199,8 @@ class TestRunDrop:
     )
     def test_downlink_path_follows_the_serving_load(self, mode, banked, monkeypatch):
         # baseline K=32 > N=8: UC/UTC cap every AP at N UEs, TC/CF serve all K from each
-        # two realization blocks: each asks the draw for its own rows and runs
-        # its downlink on them
+        # two realization blocks: each asks the draw for its own law stream and
+        # runs its downlink on it
         calls = []
 
         def spy(name, fn):
@@ -224,15 +216,14 @@ class TestRunDrop:
         for module, name in (
             (harness, "_bank_downlink"),
             (harness, "_dense_downlink"),
-            (harness.Draw, "fading"),
             (harness.Draw, "normals"),
         ):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
         run_drop(ExperimentConfig(mode=mode, n_fading=4), 0)
-        # a bank arm reads its law stream and never draws a dense row
-        draw, downlink = ("normals", "_bank_downlink") if banked else ("fading", "_dense_downlink")
-        expected = [(draw, 0, 2), (draw, 2, 4), (downlink, 2), (downlink, 2)]
+        # every arm reads its law stream; the serving load picks the formula
+        downlink = "_bank_downlink" if banked else "_dense_downlink"
+        expected = [("normals", 0, 2), ("normals", 2, 4), (downlink, 2), (downlink, 2)]
         assert sorted(calls) == sorted(expected)
 
     def test_decision_consistent_with_threshold(self):
@@ -471,10 +462,10 @@ class TestBatchedPipelineMatchesOps:
     )
     def test_single_realization_equivalence(self, mode, beamformer, k_zf, monkeypatch):
         # K=5 UEs on N=4 antennas: UC/UTC take the per-AP beam banks, TC/CF the dense
-        # beams; every region of two is checked. The bank arms read the law stream
-        # that rebuilds this full tensor (reference.law_normals), so both paths must
-        # reproduce the oracle on the same channels. The ZF arms at k_zf = 2 and 3
-        # annul sets of sizes [1, 2, 2, 2, 2] and [1, 1, 1, 2, 2, 3]
+        # beams; every region of two is checked. Every arm reads the law stream
+        # that rebuilds this full tensor (reference.law_normals), so both formulas
+        # must reproduce the oracle on the same channels. The ZF arms at k_zf = 2
+        # and 3 annul sets of sizes [1, 2, 2, 2, 2] and [1, 1, 1, 2, 2, 3]
         cfg = ExperimentConfig(
             **{
                 **TINY,
@@ -493,15 +484,7 @@ class TestBatchedPipelineMatchesOps:
         geom = ArrayGeometry(cfg.n_antennas, cfg.spacing_wavelengths)
         n_fading, k_ues, m_aps, n_ant = cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas
 
-        # realization f's fading comes from its own stream (seed, drop, purpose, f)
-        h = np.sqrt(gains)[None, :, :, None] * np.stack(
-            [
-                complex_normal(
-                    np.random.default_rng([cfg.seed, drop, _S_FADING, f]), (k_ues, m_aps, n_ant)
-                )
-                for f in range(n_fading)
-            ]
-        )
+        h = fading_tensor(cfg.seed, drop, gains, n_fading, n_ant)
         plans = []
         for f in range(n_fading):
             epoch = f % schedule.n_epochs
@@ -530,8 +513,8 @@ class TestBatchedPipelineMatchesOps:
 
         monkeypatch.setattr(harness.Draw, "normals", normals)
         dr = run_drop(cfg, drop)
-        # a bank arm reads the whole stream, exactly as long as the reference's
-        assert set(requests) == ({stream.shape[1]} if mode in ("UTC", "UC") else set())
+        # every arm reads the whole stream, exactly as long as the reference's
+        assert set(requests) == {stream.shape[1]}
         sym = _stream(cfg, drop, _S_SYMBOL)
         x = np.exp(2j * np.pi * sym.random((n_fading, k_ues)))
         x0 = np.exp(2j * np.pi * sym.random((n_fading, m_aps)))
@@ -624,10 +607,10 @@ class TestBatchedPipelineMatchesOps:
 
 
 def _drop_context(cfg, drop=0, layout=None, all_cells=False):
-    """The engine's per-drop context and read-only dense fading tensor, from Draw.
+    """The engine's per-drop context, from Draw, and every link's reference channel.
 
     A given ``layout`` replaces the drawn one; it keeps the drawn APs and UEs,
-    so the drawn gains, schedule and fading still belong to it. With
+    so the drawn gains and schedule still belong to it. With
     ``all_cells`` the schedule is the whole sweep, so the context's cell
     tables cover every cell and its cell ids are the global ones.
     """
@@ -642,8 +625,7 @@ def _drop_context(cfg, drop=0, layout=None, all_cells=False):
         schedule = build_scan_schedule(layout.regions, _stream(cfg, drop, _S_SCHED))
     assignment = build_assignment(layout, drawn.gains, cfg)
     ctx = _DropContext(cfg, layout, assignment, drawn.gains, _CellTables(cfg, layout, schedule))
-    shape = (cfg.n_fading, cfg.k_ues, cfg.m_aps, cfg.n_antennas)
-    return ctx, drawn.fading(range(cfg.n_fading), np.empty(shape, dtype=complex))
+    return ctx, fading_tensor(cfg.seed, drop, drawn.gains, cfg.n_fading, cfg.n_antennas)
 
 
 def _truth_loop(layout):
@@ -752,7 +734,6 @@ class TestBeams:
         # exactly those (f, m); every other (f, m) keeps its projected beam
         cfg = self._zf_cfg("UTC", 2).replace(n_fading=6)
         ctx, h = _drop_context(cfg)
-        h = h.copy()  # the drawn tensor is read-only
         epoch_cells = ctx.cell_of[np.arange(cfg.n_fading) % ctx.n_epochs]
         annul_of = {int(m): row for aps, annul in ctx.zf_sets for m, row in zip(aps, annul)}
         largest = max(ctx.zf_sets, key=lambda group: len(group[0]))[0]
