@@ -207,10 +207,12 @@ def test_zero_power_rows_give_finite_outputs(fraction):
 
 
 # sha256 over the result arrays of seed 1's TC and CF arms (3 drops, 4
-# realizations), recorded before the bank path was drawn in law
+# realizations), re-recorded when their dense formula moved from a dense
+# tensor of every link onto the law stream's served channels: the values
+# changed, their law did not
 DENSE_DIGESTS = {
-    "TC": "48aa36e82b148f160a00b4dba97d95968ff81c0f0aad680b9b72b4f9ff759723",
-    "CF": "6f5e06c82e1492d3bbf1b193d0d292310d6fb605150d4e4f6d75dfe0b2e62035",
+    "TC": "e19350b2e6c9bdf34333aa3321e1add3e361199f823dce60f19f018b92b8e8ab",
+    "CF": "70c8042406ffc625ca72b1eaca8f2f9f00f3bc76c34efa5514c3cd778dfcc930",
 }
 
 

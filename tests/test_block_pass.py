@@ -41,7 +41,8 @@ def _digest(rs) -> str:
 PINNED = {
     ("UTC", "MF", 0): "27502fd547aadd61ae416d63b59052891a7ae267d35a654101a75dd972c06276",
     ("UTC", "ZF", 2): "4c8f4d44715613b7b1bacabb4e39d3f5841509973ebbb1a162aba1eeca241aa8",
-    ("CF", "ZF", 2): "ccd49b5ee4c59175c6aaa2b53fda93fb3f7aa35b2dd7a2eed701093541ef34e8",
+    # re-recorded when TC/CF at K > N moved onto the law stream's channels
+    ("CF", "ZF", 2): "f839887fe594e812eba0cdba114f07099efd105ba1538897af569a41fd92c601",
     # at drop 0 its ZF sets have sizes 1, 2 and 3 (12, 11 and 25 APs); recorded
     # before the ZF beams were batched by annulment size
     ("UC", "ZF", 3): "f7ad41c92812cbc46c49db6532112942c0d4e8a63f111dcc3204caacaf734b05",
@@ -52,8 +53,9 @@ IN_TABLE = {
     "modes": {
         "UTC": PINNED["UTC", "MF", 0],
         "UC": "ca47624ba813bec1c4ce839cc173336b730a585cc1f065f064c5fc70634228ee",
-        "TC": "17aea3ab38b26881859438d6350be2839fea9744a919e7c5dad80a8a15aaa311",
-        "CF": "7f61ec0ce9d38be7605fb5c08301542204f0637303dc218080082932f12e093a",
+        # re-recorded when TC/CF at K > N moved onto the law stream's channels
+        "TC": "a6efe43b4f1aa766568494d97916e2b8ad575c10455faf8eff363c9e2ebb0f8d",
+        "CF": "80b085142d78b905533d1a7f0c60068aa3bfb86cdacc89e12cb626cd33883903",
     },
     "beamformers": {
         "mf": PINNED["UTC", "MF", 0],
