@@ -4,8 +4,7 @@ Three reductions over the fading batch: the UE-to-UE cross-gain matrix
 behind the downlink SINR, the sensing-beam leakage term, and the
 accumulation of target echoes at the receive APs. Each is one dense numpy
 contraction. The first two serve the dense downlink formula (TC/CF when
-some AP serves more than N UEs), on the (K, P, N) channels of the transmit
-APs that the law stream's served links hold.
+some AP serves more than N UEs) on the transmit APs' law-stream channels.
 
 The bank formula (UC/UTC) draws each AP's unserved links in law through the
 lower Cholesky factor of its bank's Gram, ``cholesky_lower``.
@@ -14,9 +13,8 @@ Each realization block of ``harness._run_table`` runs the first two on its
 own rows and core, and ``echo_mix`` runs once per arm on all realizations.
 In traced perfbench runs (2 cores, BLAS at one thread), ``cross_gains`` and
 ``sense_leakage`` took 3.3 and 1.3 ms of thread time in a 39 ms ``cf-mf``
-drop on the dense tensor of all M APs; ``utc-mf`` takes the bank formula,
-which calls neither, and ``echo_mix`` costs 0.1 ms of its 25 ms drop
-(``BENCH_24.json``).
+drop over all M APs; ``utc-mf`` takes the bank formula, which calls neither,
+and ``echo_mix`` costs 0.1 ms of its 25 ms drop (``BENCH_24.json``).
 """
 
 from __future__ import annotations

@@ -147,7 +147,9 @@ def test_bank_tables_never_draw_the_dense_tensor(monkeypatch):
     # the law stream is the only one seeded per realization
     seeded = []
     default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key))
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda key: seeded.append(key) or default_rng(key)
+    )
     cfg = ExperimentConfig(**SMALL)
     run_arms(preset_rx_sweep(cfg, [1, 2]))
     run_arms(preset_mode_comparison(cfg.replace(k_ues=6)))  # K > N: TC and CF are dense
@@ -169,7 +171,8 @@ def test_dense_formula_on_law_channels_matches_the_bank_formula():
     ctx, bank, tx = arm.ctx, arm.bank, arm.ctx.tx_all
     n, k_ues, n_ant = cfg.n_fading, cfg.k_ues, cfg.n_antennas
     assert not arm.dense and bank.n_normals == bank.n_law == k_ues * len(tx) * n_ant
-    np.testing.assert_array_equal(bank.link_of[:, tx], np.arange(k_ues * len(tx)).reshape(k_ues, -1))
+    by_ue_and_tx = np.arange(k_ues * len(tx)).reshape(k_ues, -1)
+    np.testing.assert_array_equal(bank.link_of[:, tx], by_ue_and_tx)
     normals = drawn.normals(range(n), np.empty((n, bank.n_normals), dtype=complex))
     h_links = normals.reshape(n, -1, n_ant) * bank.sqrt_g_links
     w0, _ = harness._sense_beams(ctx, h_links, bank.link_of, arm.epoch_cells)

@@ -217,9 +217,10 @@ def test_a_table_draws_each_law_realization_once(monkeypatch):
         )
         run_arms(preset_mode_comparison(cfg))
         monkeypatch.setattr(np.random, "default_rng", default_rng)
-        keys = sorted(key for key in seeded if len(key) == 4 and key[2] == harness._S_BANK)
+        law = harness._S_BANK
+        keys = sorted(key for key in seeded if len(key) == 4 and key[2] == law)
         every = range(cfg.n_fading)
-        assert keys == [[cfg.seed, d, harness._S_BANK, f] for d in range(cfg.n_drops) for f in every]
+        assert keys == [[cfg.seed, d, law, f] for d in range(cfg.n_drops) for f in every]
 
 
 def _row_bytes(cfgs: list[ExperimentConfig]) -> int:
@@ -310,9 +311,10 @@ def test_peak_memory_is_flat_in_the_fading_count(mode, monkeypatch):
     # chunks of one realization: the rows, beams and cross gains of a chunk
     # do not grow with F, so the drop's peak grows by what it keeps for every
     # realization, for one arm or for the mode table's four (two on the dense
-    # formula, two on the bank formula) on one draw. 250 m cells give 4 inspected cells per region at every
-    # F, so the cell tables match. Without targets the echo stage holds no
-    # per-target projections, which this bound does not count.
+    # formula, two on the bank formula) on one draw. 250 m cells give 4
+    # inspected cells per region at every F, so the cell tables match. Without
+    # targets the echo stage holds no per-target projections, which this bound
+    # does not count.
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
     in_blocks, stages = harness._in_blocks, []
 
