@@ -1,4 +1,8 @@
-"""Network layouts, sensing regions, range-cell grids and the scan schedule."""
+"""Network layouts, sensing regions and the scan schedule.
+
+A region holds its range cells as two arrays, their centers and their
+bounds, which the scan schedule and the drop's cell tables index.
+"""
 
 from __future__ import annotations
 
@@ -12,38 +16,22 @@ from .config import ExperimentConfig
 
 
 @dataclass
-class RangeCell:
-    """One range cell: the smallest inspected spatial element of a region.
-
-    ``center`` is the geometric center of the (possibly edge-clipped)
-    horizontal footprint, raised to the configured inspection height.
-    """
-
-    center: np.ndarray  # (3,)
-    extent_x: float
-    extent_y: float
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        cx, cy = self.center[0], self.center[1]
-        return (
-            cx - self.extent_x / 2.0,
-            cy - self.extent_y / 2.0,
-            cx + self.extent_x / 2.0,
-            cy + self.extent_y / 2.0,
-        )
-
-
-@dataclass
 class SensingRegion:
-    """Axis-aligned rectangular sensing region; regions tile the area."""
+    """Axis-aligned rectangular sensing region; regions tile the area.
+
+    Its range cells, the smallest inspected spatial elements, row by row:
+    ``cell_centers`` (C, 3) are the centers of their (possibly edge-clipped)
+    horizontal footprints, raised to the inspection height, and
+    ``cell_bounds`` (C, 4) the footprints (x0, y0, x1, y1).
+    """
 
     index: int
     x_min: float
     y_min: float
     x_max: float
     y_max: float
-    cells: list[RangeCell] = field(default_factory=list)
+    cell_centers: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    cell_bounds: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
 
     @property
     def center_xy(self) -> tuple[float, float]:
@@ -90,27 +78,28 @@ def region_grid_shape(l_regions: int) -> tuple[int, int]:
 
 def build_range_cell_grid(
     region: SensingRegion, cell_extent: float, inspection_height: float
-) -> list[RangeCell]:
-    """Tile a region with square cells of the given extent.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tile a region with square cells of the given extent: (centers, bounds).
 
     The last row/column is clipped at the region edge when the extent does
     not divide the region side; an extent at least as large as the region
-    yields the single-cell degenerate grid.
+    yields the single-cell degenerate grid. The bounds are each center
+    minus and plus half the cell's clipped extent.
     """
-    width = region.x_max - region.x_min
-    height = region.y_max - region.y_min
-    nx = max(1, math.ceil(width / cell_extent - 1e-9))
-    ny = max(1, math.ceil(height / cell_extent - 1e-9))
-    cells = []
-    for iy in range(ny):
-        y0 = region.y_min + iy * cell_extent
-        y1 = min(y0 + cell_extent, region.y_max)
-        for ix in range(nx):
-            x0 = region.x_min + ix * cell_extent
-            x1 = min(x0 + cell_extent, region.x_max)
-            center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1), inspection_height])
-            cells.append(RangeCell(center=center, extent_x=x1 - x0, extent_y=y1 - y0))
-    return cells
+    axes = []
+    for lo, hi in ((region.x_min, region.x_max), (region.y_min, region.y_max)):
+        n = max(1, math.ceil((hi - lo) / cell_extent - 1e-9))
+        start = lo + np.arange(n) * cell_extent
+        end = np.minimum(start + cell_extent, hi)
+        center, half = 0.5 * (start + end), (end - start) / 2.0
+        axes.append((center, center - half, center + half))
+    (cx, x0, x1), (cy, y0, y1) = axes
+    centers = np.empty((len(cy), len(cx), 3))
+    centers[..., 0], centers[..., 1], centers[..., 2] = cx, cy[:, None], inspection_height
+    bounds = np.empty((len(cy), len(cx), 4))
+    bounds[..., 0], bounds[..., 2] = x0, x1
+    bounds[..., 1], bounds[..., 3] = y0[:, None], y1[:, None]
+    return centers.reshape(-1, 3), bounds.reshape(-1, 4)
 
 
 def build_regions(config: ExperimentConfig) -> list[SensingRegion]:
@@ -128,7 +117,9 @@ def build_regions(config: ExperimentConfig) -> list[SensingRegion]:
             x_max=(c + 1) * width,
             y_max=(r + 1) * height,
         )
-        region.cells = build_range_cell_grid(region, extent, config.inspection_height_m)
+        region.cell_centers, region.cell_bounds = build_range_cell_grid(
+            region, extent, config.inspection_height_m
+        )
         regions.append(region)
     return regions
 
@@ -189,29 +180,31 @@ def build_scan_schedule(
     are drawn in order, so ``max_epochs`` keeps the first rows of the sweep.
     """
     n_regions = len(regions)
-    counts = [len(r.cells) for r in regions]
+    counts = [len(r.cell_centers) for r in regions]
     n_epochs = max(counts) if max_epochs is None else min(max(counts), max_epochs)
-    centers = [np.array([c.center[:2] for c in r.cells]) for r in regions]
+    xs = [r.cell_centers[:, 0] for r in regions]
+    ys = [r.cell_centers[:, 1] for r in regions]
 
-    remaining = [list(range(n)) for n in counts]
+    # each epoch scans one cell of every region that has one left
+    unscanned = [np.ones(n, dtype=bool) for n in counts]
     epochs = np.zeros((n_epochs, n_regions), dtype=np.int64)
     for e in range(n_epochs):
-        order = [(e + i) % n_regions for i in range(n_regions)]
-        picked_xy: list[np.ndarray] = []
-        for pos, l in enumerate(order):
-            if not remaining[l]:
+        picked_x, picked_y = [], []
+        for pos in range(n_regions):
+            l = (e + pos) % n_regions
+            if e >= counts[l]:
                 choice = counts[l] - 1  # pad short regions with their last cell
-            elif pos == 0:
-                choice = remaining[l][rng.integers(len(remaining[l]))]
-                remaining[l].remove(choice)
             else:
-                cand = np.array(remaining[l])
-                dists = np.linalg.norm(
-                    centers[l][cand][:, None, :] - np.array(picked_xy)[None, :, :], axis=-1
-                )
-                best = cand[int(np.argmax(dists.min(axis=1)))]
-                choice = int(best)
-                remaining[l].remove(choice)
+                if pos == 0:
+                    choice = np.flatnonzero(unscanned[l])[rng.integers(counts[l] - e)]
+                else:
+                    # sqrt(dx^2 + dy^2), as np.linalg.norm rounds it
+                    px, py = np.array(picked_x)[:, None], np.array(picked_y)[:, None]
+                    dists = np.sqrt((xs[l] - px) ** 2 + (ys[l] - py) ** 2)  # (picked, C)
+                    nearest = np.where(unscanned[l], dists.min(axis=0), -np.inf)
+                    choice = np.argmax(nearest)
+                unscanned[l][choice] = False
             epochs[e, l] = choice
-            picked_xy.append(centers[l][choice])
+            picked_x.append(xs[l][choice])
+            picked_y.append(ys[l][choice])
     return ScanSchedule(epochs=epochs)

@@ -207,11 +207,10 @@ class _CellTables:
         # the inspected cells only: the schedule's cells in global ids (regions'
         # cells concatenated), mapped to compact ids into the cell tables
         regions = layout.regions
-        offsets = np.cumsum([0] + [len(region.cells) for region in regions[:-1]])
+        offsets = np.cumsum([0] + [len(region.cell_centers) for region in regions[:-1]])
         inspected, cell_of = np.unique(schedule.epochs + offsets, return_inverse=True)
         self.cell_region = np.searchsorted(offsets, inspected, side="right") - 1
-        cells = [regions[l].cells[c - offsets[l]] for l, c in zip(self.cell_region, inspected)]
-        self.cell_centers = np.array([cell.center for cell in cells])
+        self.cell_centers = np.concatenate([region.cell_centers for region in regions])[inspected]
         self.n_epochs = schedule.n_epochs
 
         # schedule in compact cell ids: (n_epochs, L)
@@ -225,7 +224,7 @@ class _CellTables:
 
         # ground truth per cell: a target of the cell's region inside its
         # half-open bounds [x0, x1) x [y0, y1)
-        bounds = np.array([cell.bounds for cell in cells])  # (C, 4): x0, y0, x1, y1
+        bounds = np.concatenate([region.cell_bounds for region in regions])[inspected]  # (C, 4)
         xy = layout.targets[:, None, :2]  # (T, 1, 2)
         inside = np.all(bounds[:, :2] <= xy, axis=2) & np.all(xy < bounds[:, 2:], axis=2)
         own = self.cell_region == np.asarray(layout.target_regions)[:, None]  # (T, C)
@@ -502,9 +501,9 @@ class _Arm:
     """One arm on one drop: setup, the work of each chunk of rows, and finish.
 
     The setup clusters the drop and builds its context and its ``bank``
-    tables, which say where each link reads the law stream. When some AP
-    serves more than N UEs (TC/CF with K > N), ``dense`` is set and the arm
-    takes the dense downlink formula; otherwise it takes the bank formula.
+    tables, which say where each link reads the law stream. Tables without
+    batches (TC/CF with K > N) set ``dense``: the arm takes the dense
+    downlink formula, and otherwise the bank formula.
     ``run_chunk`` runs a chunk's sensing beams, downlink and transmit
     signals, and ``finish`` the SINR, echoes and detection of all
     realizations.
@@ -520,7 +519,7 @@ class _Arm:
         self.symbols, self.unit_noise = drawn.symbols, drawn.unit_noise
         k_ues, m_total = ctx.amp.shape
         self.bank = _bank_tables(ctx, n_ant)
-        self.dense = max(map(len, assignment.served)) > n_ant
+        self.dense = self.bank.batches is None
         # communication side is snapshot-independent: the SINR reads each UE's
         # desired power, its row sum of cross-gain powers and its sensing leakage
         self.sinr_terms = np.empty((3, n_fading, k_ues))
@@ -640,7 +639,7 @@ class _BankTables(NamedTuple):
     sqrt_g_links: np.ndarray  # (links, 1): each served link's sqrt(g_km)
     n_law: int  # the stream's normals of the served links, N per link
     n_normals: int  # every normal the arm reads per realization
-    batches: list  # a _BankBatch per bank size, sizes ascending
+    batches: list | None  # a _BankBatch per bank size, sizes ascending; None: dense formula
 
 
 class _BankBatch(NamedTuple):
@@ -661,18 +660,24 @@ class _BankBatch(NamedTuple):
 
 
 def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
-    """Everything a bank arm reads that no fading realization changes."""
+    """Everything an arm reads that no fading realization changes. Where some AP
+    serves more than N UEs (TC/CF with K > N), the dense formula reads only the
+    served links, so no batch is built."""
     k_ues, m_total = ctx.amp.shape
     serving = ctx.assignment.serving
     link_ue = np.repeat(np.arange(k_ues), [len(aps) for aps in serving])
     link_ap = np.concatenate(serving).astype(int)
     link_of = np.full((k_ues, m_total), -1)
     link_of[link_ue, link_ap] = np.arange(len(link_ue))
+    sqrt_g_links = np.sqrt(ctx.gains[link_ue, link_ap])[:, None]
+    n_law = len(link_ue) * n_ant
+    n_served = np.array([len(served) for served in ctx.assignment.served])
+    if n_served.max() > n_ant:
+        return _BankTables(link_of, sqrt_g_links, n_law, n_law, None)
 
     # per AP: a bank row per served UE, then one for the sensing beam if the
     # AP senses (a row without power stays with a zero amplitude); an unserved
     # link's gains take min(b_m, N) normals
-    n_served = np.array([len(served) for served in ctx.assignment.served])
     sensing = ctx.assignment.pointing >= 0
     rows = n_served + sensing
     width = np.minimum(rows, n_ant)
@@ -681,7 +686,6 @@ def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
     # UE order; a served link reads the stream's first normals, and its law
     # gain is replaced by the exact one
     served = link_of >= 0
-    n_law = len(link_ue) * n_ant
     n_off = (k_ues - n_served) * width
     starts = n_law + np.cumsum(n_off) - n_off
     slot = np.where(served, 0, starts + (np.cumsum(~served, axis=0) - 1) * width)  # (K, M)
@@ -709,7 +713,6 @@ def _bank_tables(ctx: _DropContext, n_ant: int) -> _BankTables:
                 layers=_layers(ue_k, ue_a * b + ue_i),
             )
         )
-    sqrt_g_links = np.sqrt(ctx.gains[link_ue, link_ap])[:, None]
     return _BankTables(link_of, sqrt_g_links, n_law, n_law + int(n_off.sum()), batches)
 
 

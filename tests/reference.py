@@ -2,6 +2,7 @@
 
 One link, one AP or one UE at a time, with explicit dict maps and plain
 loops: the half-open containment test of a region or cell footprint, the
+range-cell grid cell by cell and the scan schedule on lists, the
 view angles and steering vectors, the AP-AP and target channels,
 the correlated RCS draw, the per-AP beams and transmit vectors, every link's
 fading channel, the law stream that runs an arm on given channels, the
@@ -26,7 +27,6 @@ from cfisac.channel import (
     psd_sqrt,
     view_angle_kernel,
 )
-from cfisac.deployment import RangeCell
 from cfisac.harness import ZF_FALLBACK_TOL, allocate_power
 
 # --- footprints -------------------------------------------------------------
@@ -35,10 +35,80 @@ from cfisac.harness import ZF_FALLBACK_TOL, allocate_power
 def contains_xy(bounds: tuple[float, float, float, float], x: float, y: float) -> bool:
     """Whether (x, y) lies in the half-open footprint [x0, x1) x [y0, y1).
 
-    ``bounds`` is (x0, y0, x1, y1), as ``RangeCell.bounds`` gives it.
+    ``bounds`` is (x0, y0, x1, y1), a row of ``SensingRegion.cell_bounds``.
     """
     x0, y0, x1, y1 = bounds
     return (x0 <= x < x1) and (y0 <= y < y1)
+
+
+# --- range cells and the scan schedule ----------------------------------------
+
+
+def range_cell_grid(
+    region, cell_extent: float, inspection_height: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """A region's cells one at a time, row by row: (centers (C, 3), bounds (C, 4)).
+
+    Each cell's center is that of its edge-clipped footprint [x0, x1) x
+    [y0, y1), and its bounds are the center minus and plus half its extent.
+    """
+    width = region.x_max - region.x_min
+    height = region.y_max - region.y_min
+    nx = max(1, math.ceil(width / cell_extent - 1e-9))
+    ny = max(1, math.ceil(height / cell_extent - 1e-9))
+    centers, bounds = [], []
+    for iy in range(ny):
+        y0 = region.y_min + iy * cell_extent
+        y1 = min(y0 + cell_extent, region.y_max)
+        for ix in range(nx):
+            x0 = region.x_min + ix * cell_extent
+            x1 = min(x0 + cell_extent, region.x_max)
+            center = np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1), inspection_height])
+            extent_x, extent_y = x1 - x0, y1 - y0
+            cx, cy = center[0], center[1]
+            centers.append(center)
+            bounds.append(
+                (cx - extent_x / 2.0, cy - extent_y / 2.0, cx + extent_x / 2.0, cy + extent_y / 2.0)
+            )
+    return np.array(centers), np.array(bounds)
+
+
+def scan_schedule(
+    cell_centers: Sequence[np.ndarray], rng: np.random.Generator, max_epochs: Optional[int] = None
+) -> np.ndarray:
+    """The scan schedule (n_epochs, L) over each region's unscanned cells as a list.
+
+    At epoch e region e mod L opens with a uniformly drawn unscanned cell;
+    the next regions in turn take the unscanned cell farthest from the
+    nearest cell picked this epoch (the first such cell). A region with no
+    cell left repeats its last cell.
+    """
+    n_regions = len(cell_centers)
+    counts = [len(c) for c in cell_centers]
+    n_epochs = max(counts) if max_epochs is None else min(max(counts), max_epochs)
+    centers = [np.asarray(c)[:, :2] for c in cell_centers]
+
+    remaining = [list(range(n)) for n in counts]
+    epochs = np.zeros((n_epochs, n_regions), dtype=np.int64)
+    for e in range(n_epochs):
+        order = [(e + i) % n_regions for i in range(n_regions)]
+        picked_xy: list[np.ndarray] = []
+        for pos, l in enumerate(order):
+            if not remaining[l]:
+                choice = counts[l] - 1
+            elif pos == 0:
+                choice = remaining[l][rng.integers(len(remaining[l]))]
+                remaining[l].remove(choice)
+            else:
+                cand = np.array(remaining[l])
+                dists = np.linalg.norm(
+                    centers[l][cand][:, None, :] - np.array(picked_xy)[None, :, :], axis=-1
+                )
+                choice = int(cand[int(np.argmax(dists.min(axis=1)))])
+                remaining[l].remove(choice)
+            epochs[e, l] = choice
+            picked_xy.append(centers[l][choice])
+    return epochs
 
 
 # --- view angles and steering ----------------------------------------------
@@ -414,7 +484,7 @@ class Dictionary:
     rank_tol * sigma_max, an orthonormal basis of the column space.
     """
 
-    cell: Optional[RangeCell]
+    cell_center: Optional[np.ndarray]  # (3,)
     rx_ap: int
     columns: np.ndarray  # (N, n_tx)
     basis: np.ndarray  # (N, rank)
@@ -468,7 +538,7 @@ def svd_basis(columns: np.ndarray, rank_tol: float = 1e-10):
 
 
 def build_dictionary(
-    cell: RangeCell,
+    cell_center: np.ndarray,
     rx_ap: int,
     tx_aps: Sequence[int],
     layout,
@@ -486,9 +556,9 @@ def build_dictionary(
 
     def gain_and_steering(m):
         pos = layout.aps[m]
-        g = linear_gain(pathloss_db(float(np.linalg.norm(cell.center - pos)), "ap_target_los", f_ghz))
+        g = linear_gain(pathloss_db(float(np.linalg.norm(cell_center - pos)), "ap_target_los", f_ghz))
         m_geom = ArrayGeometry(geom.n_antennas, geom.spacing_wavelengths, layout.broadsides[m])
-        return g, steering_to(m_geom, pos, cell.center)
+        return g, steering_to(m_geom, pos, cell_center)
 
     g_rx, a_rx = gain_and_steering(rx_ap)
     sqrt_betas = np.zeros(len(tx_aps))
@@ -500,7 +570,7 @@ def build_dictionary(
 
     columns = a_rx[:, None] * (sqrt_betas * projections)[None, :]
     basis, singular_values, rank = svd_basis(columns, rank_tol)
-    return Dictionary(cell, rx_ap, columns, basis, singular_values, rank)
+    return Dictionary(cell_center, rx_ap, columns, basis, singular_values, rank)
 
 
 def glrt_statistic(dicts: Sequence[Dictionary], observables: Sequence[np.ndarray]) -> float:

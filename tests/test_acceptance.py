@@ -156,18 +156,18 @@ def test_criterion_3_sensing_snr_closed_form_vs_monte_carlo():
         gains = ue_ap_gains(layout, cfg, _stream(cfg, 0, _S_SHADOW))
         assignment = build_assignment(layout, gains, cfg)
         tx_c, rx_c = assignment.sensing_clusters[seed % 4]
-        cell = layout.regions[seed % 4].cells[seed]
+        center = layout.regions[seed % 4].cell_centers[seed]
         rng = np.random.default_rng(200 + seed)
         tx_signals = {int(m): complex_normal(rng, 8) for m in tx_c}
         from cfisac.channel import ArrayGeometry
 
         geom = ArrayGeometry(8, 0.5)
         dicts = [
-            build_dictionary(cell, int(m), [int(x) for x in tx_c], layout, tx_signals, geom, 2.0)
+            build_dictionary(center, int(m), [int(x) for x in tx_c], layout, tx_signals, geom, 2.0)
             for m in rx_c
         ]
         r_mat = cfg.sigma_rcs2_m2 * view_angle_kernel(
-            cell.center, layout.aps[tx_c], cfg.angular_corr_rad
+            center, layout.aps[tx_c], cfg.angular_corr_rad
         )
         sigma2 = cfg.sigma_z2_w
         closed = sensing_snr(dicts, [r_mat] * len(dicts), sigma2)

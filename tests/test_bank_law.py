@@ -87,7 +87,7 @@ def test_law_rates_match_dense_rates_in_distribution(monkeypatch):
     for f in range(cfg.n_fading):
         h_f = {(k, m): h[f, k, m] for k in range(cfg.k_ues) for m in range(cfg.m_aps)}
         epoch = schedule.epochs[f % schedule.n_epochs]
-        cells = [region.cells[c].center for region, c in zip(layout.regions, epoch)]
+        cells = [region.cell_centers[c] for region, c in zip(layout.regions, epoch)]
         plan = build_plan(h_f, gains, assignment, geom, layout.aps, cells, cfg.p_max_w)
         stream.append(law_normals(h_f, gains, assignment, plan))
     stream = np.array(stream)
@@ -192,7 +192,8 @@ def test_dense_arms_read_their_links_by_ue_and_transmit_ap(mode):
     cfg = ExperimentConfig(**{**SMALL, "mode": mode, "k_ues": 6})
     arm = harness._Arm(cfg, 0, Draw(cfg, 0))
     tx = arm.ctx.tx_all
-    assert arm.dense and arm.bank.n_normals == arm.bank.n_law
+    # the dense formula reads no bank batch, so none is built
+    assert arm.dense and arm.bank.batches is None and arm.bank.n_normals == arm.bank.n_law
     expected = np.arange(cfg.k_ues * len(tx)).reshape(cfg.k_ues, len(tx))
     np.testing.assert_array_equal(arm.bank.link_of[:, tx], expected)
     assert (arm.bank.link_of[:, arm.ctx.rx_all] == -1).all()

@@ -12,7 +12,8 @@ from cfisac.deployment import (
     generate_layout,
     region_grid_shape,
 )
-from reference import angles_from, contains_xy, wrap_angle
+from cfisac.harness import _S_SCHED, Draw, _stream
+from reference import angles_from, contains_xy, range_cell_grid, scan_schedule, wrap_angle
 
 
 def small_cfg(**kw):
@@ -21,31 +22,58 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def _extents(bounds):
+    """Each cell's (x, y) extent from its bounds (x0, y0, x1, y1)."""
+    return bounds[:, 2] - bounds[:, 0], bounds[:, 3] - bounds[:, 1]
+
+
 class TestRangeCellGrid:
     def test_4x4_tiling(self):
         region = SensingRegion(index=0, x_min=0, y_min=0, x_max=500, y_max=500)
-        cells = build_range_cell_grid(region, 125.0, 110.0)
-        assert len(cells) == 16
-        assert all(c.extent_x == 125.0 and c.extent_y == 125.0 for c in cells)
-        assert all(c.center[2] == 110.0 for c in cells)
+        centers, bounds = build_range_cell_grid(region, 125.0, 110.0)
+        assert centers.shape == (16, 3) and bounds.shape == (16, 4)
+        assert all(np.all(extent == 125.0) for extent in _extents(bounds))
+        assert np.all(centers[:, 2] == 110.0)
 
     def test_degenerate_single_cell(self):
         region = SensingRegion(index=0, x_min=0, y_min=0, x_max=500, y_max=500)
-        cells = build_range_cell_grid(region, 500.0, 110.0)
-        assert len(cells) == 1
-        np.testing.assert_allclose(cells[0].center, [250.0, 250.0, 110.0])
+        centers, _ = build_range_cell_grid(region, 500.0, 110.0)
+        assert len(centers) == 1
+        np.testing.assert_allclose(centers[0], [250.0, 250.0, 110.0])
 
     def test_oversized_extent_clips_to_region(self):
         region = SensingRegion(index=0, x_min=0, y_min=0, x_max=500, y_max=500)
-        (cell,) = build_range_cell_grid(region, 900.0, 50.0)
-        assert cell.extent_x == 500.0
+        _, bounds = build_range_cell_grid(region, 900.0, 50.0)
+        assert len(bounds) == 1 and _extents(bounds)[0][0] == 500.0
 
     def test_clipped_last_column(self):
         region = SensingRegion(index=0, x_min=0, y_min=0, x_max=300, y_max=300)
-        cells = build_range_cell_grid(region, 200.0, 110.0)
-        assert len(cells) == 4
+        _, bounds = build_range_cell_grid(region, 200.0, 110.0)
+        assert len(bounds) == 4
         # cells tile the region footprint exactly
-        assert math.isclose(sum(c.extent_x * c.extent_y for c in cells), 300.0 * 300.0)
+        width, height = _extents(bounds)
+        assert math.isclose(sum(width * height), 300.0 * 300.0)
+
+    @pytest.mark.parametrize(
+        "box,extent",
+        [
+            ((0, 0, 500, 500), 125.0),  # exact tiling
+            ((500.0, 0.0, 800.0, 300.0), 200.0),  # clipped last row and column
+            ((0.0, 500.0, 333.3, 1000.0), 62.5),  # clipped, unequal sides
+            ((0, 0, 500, 500), 900.0),  # degenerate: one clipped cell
+            ((500.0, 500.0, 1000.0, 1000.0), 7.5),  # range resolution at 20 MHz
+            ((1000 / 3, 0.0, 2000 / 3, 500.0), 7.5),
+        ],
+    )
+    def test_grid_is_bitwise_the_cell_loop(self, box, extent):
+        # the bounds are each center -/+ half its extent, which can differ in
+        # the last bit from the edges x0, x1; the ground truth reads them
+        region = SensingRegion(0, *box)
+        centers, bounds = build_range_cell_grid(region, extent, 110.0)
+        ref_centers, ref_bounds = range_cell_grid(region, extent, 110.0)
+        assert centers.dtype == bounds.dtype == np.float64
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert bounds.tobytes() == ref_bounds.tobytes()
 
     def test_bandwidth_matched_extent(self):
         # range resolution c / (2 B) with c = 3e8 and B = 20 MHz
@@ -173,17 +201,17 @@ class TestScanSchedule:
     def test_greedy_beats_raster_at_epoch_zero(self):
         # oracle: naive raster scanning picks local cell 0 everywhere at epoch 0
         regions = self._regions()
-        raster = _min_pairwise([r.cells[0].center[:2] for r in regions])
+        raster = _min_pairwise([r.cell_centers[0, :2] for r in regions])
         for seed in range(20):
             sched = build_scan_schedule(regions, np.random.default_rng(seed))
-            picked = [regions[l].cells[sched.epochs[0, l]].center[:2] for l in range(4)]
+            picked = [regions[l].cell_centers[sched.epochs[0, l], :2] for l in range(4)]
             assert _min_pairwise(picked) >= raster - 1e-9
 
     def test_degenerate_single_cell_regions(self):
         regions = self._regions(extent=500.0)
         sched = build_scan_schedule(regions, np.random.default_rng(0))
         assert sched.n_epochs == 1
-        picked = [regions[l].cells[0].center[:2] for l in range(4)]
+        picked = [regions[l].cell_centers[0, :2] for l in range(4)]
         centers = [r.center_xy for r in regions]
         assert _min_pairwise(picked) == pytest.approx(_min_pairwise(centers))
 
@@ -204,9 +232,59 @@ class TestScanSchedule:
     def test_unequal_cell_counts_padded(self):
         cfg = ExperimentConfig(l_regions=4, cell_extent_m=250.0)
         regions = build_regions(cfg)
-        regions[2].cells = regions[2].cells[:1]  # force one short region
+        regions[2].cell_centers = regions[2].cell_centers[:1]  # force one short region
         sched = build_scan_schedule(regions, np.random.default_rng(0))
         assert sched.n_epochs == 4
         assert set(sched.epochs[:, 2]) == {0}
         for l in (0, 1, 3):
             assert sorted(sched.epochs[:, l]) == [0, 1, 2, 3]
+
+
+def _schedule_cases():
+    """(L, extent, short region, area side): every L and extent, two short regions.
+
+    7.5 m cells cover a 150 m area, so their full sweeps stay short.
+    """
+    cases = [
+        (l, extent, None, 150.0 if extent == 7.5 else 1000.0)
+        for l in (1, 2, 3, 4, 6, 9)
+        for extent in (7.5, 62.5, 125.0, 300.0, 2000.0)
+    ]
+    return cases + [(4, 125.0, 2, 1000.0), (3, 300.0, 0, 1000.0)]
+
+
+@pytest.mark.parametrize("l_regions,extent,short,side", _schedule_cases())
+def test_schedule_is_bitwise_the_list_schedule(l_regions, extent, short, side):
+    # 32 layouts x 4 caps x 6 seeds = 768 schedules against the oracle, which
+    # keeps each region's unscanned cells as a list
+    cfg = ExperimentConfig(
+        l_regions=l_regions, t_targets=l_regions, cell_extent_m=extent, area_side_m=side
+    )
+    regions = build_regions(cfg)
+    if short is not None:
+        regions[short].cell_centers = regions[short].cell_centers[:1]
+    centers = [region.cell_centers for region in regions]
+    for max_epochs in (None, 1, 7, 100):
+        for seed in range(6):
+            sched = build_scan_schedule(regions, np.random.default_rng(seed), max_epochs)
+            expected = scan_schedule(centers, np.random.default_rng(seed), max_epochs)
+            assert sched.epochs.tobytes() == expected.tobytes(), (max_epochs, seed)
+
+
+def test_a_range_resolution_drop_schedules_like_the_list_schedule():
+    # one drop at 7.5 m cells (4489 per region): its regions and the epochs
+    # its realizations inspect are bitwise the oracle's
+    cfg = ExperimentConfig(bandwidth_matched_cells=True, n_fading=4)
+    drawn = Draw(cfg, 0)
+    regions = drawn.layout.regions
+    for region in regions:
+        assert len(region.cell_centers) == 67 * 67
+        ref_centers, ref_bounds = range_cell_grid(
+            region, cfg.resolved_cell_extent_m, cfg.inspection_height_m
+        )
+        assert region.cell_centers.tobytes() == ref_centers.tobytes()
+        assert region.cell_bounds.tobytes() == ref_bounds.tobytes()
+    expected = scan_schedule(
+        [region.cell_centers for region in regions], _stream(cfg, 0, _S_SCHED), max_epochs=4
+    )
+    assert drawn.schedule.epochs.tobytes() == expected.tobytes()

@@ -489,7 +489,8 @@ class TestBatchedPipelineMatchesOps:
         for f in range(n_fading):
             epoch = f % schedule.n_epochs
             cells = [
-                layout.regions[l].cells[schedule.epochs[epoch, l]] for l in range(cfg.l_regions)
+                layout.regions[l].cell_centers[schedule.epochs[epoch, l]]
+                for l in range(cfg.l_regions)
             ]
             h_dict = {(k, m): h[f, k, m] for k in range(k_ues) for m in range(m_aps)}
             plan = build_plan(
@@ -498,7 +499,7 @@ class TestBatchedPipelineMatchesOps:
                 assignment,
                 geom,
                 layout.aps,
-                [c.center for c in cells],
+                cells,
                 cfg.p_max_w,
                 beamformer=beamformer,
                 k_zf=k_zf,
@@ -600,7 +601,7 @@ class TestBatchedPipelineMatchesOps:
                 thr = calibrate_threshold(max(total_rank, 1), cfg.sigma_z2_w, cfg.pfa_target)
                 assert thr == pytest.approx(dr.thresholds[f, l], rel=1e-12)
                 r_mat = cfg.sigma_rcs2_m2 * view_angle_kernel(
-                    cells[l].center, layout.aps[tx_cluster], corr
+                    cells[l], layout.aps[tx_cluster], corr
                 )
                 snr = sensing_snr(dicts, [r_mat] * len(rx_cluster), cfg.sigma_z2_w)
                 assert 10 * math.log10(snr) == pytest.approx(dr.sensing_snr_db[f, l], rel=1e-9)
@@ -633,12 +634,12 @@ def _truth_loop(layout):
     return np.array(
         [
             any(
-                contains_xy(cell.bounds, x, y)
+                contains_xy(bounds, x, y)
                 for (x, y, _), t_region in zip(layout.targets, layout.target_regions)
                 if t_region == l
             )
             for l, region in enumerate(layout.regions)
-            for cell in region.cells
+            for bounds in region.cell_bounds
         ]
     )
 
@@ -658,12 +659,12 @@ class TestGroundTruth:
         layout = generate_layout(cfg, _stream(cfg, 0, _S_LAYOUT))
         targets, regions, cell_ids, offset = [], [], [], 0
         for l, region in enumerate(layout.regions):
-            for ci in (0, len(region.cells) - 1):
-                x0, y0, x1, y1 = region.cells[ci].bounds
+            for ci in (0, len(region.cell_bounds) - 1):
+                x0, y0, x1, y1 = region.cell_bounds[ci]
                 targets.append((x0, y0, 30.0) if edge == "lower" else (x1, y1, 30.0))
                 regions.append(l)
                 cell_ids.append(offset + ci)
-            offset += len(region.cells)
+            offset += len(region.cell_bounds)
         layout = replace(layout, targets=np.array(targets), target_regions=np.array(regions))
         truth = _drop_context(cfg, layout=layout, all_cells=True)[0].truth_cell
         np.testing.assert_array_equal(truth, _truth_loop(layout))

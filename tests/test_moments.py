@@ -13,9 +13,12 @@ large-scale gain (the moments of the cell-free MR analyses: Ngo et al.,
   c_N = Gamma(N + 1/2) / Gamma(N), the mean of ||h|| / sqrt(g) for h ~ CN(0, g I_N).
 
 UTC takes the bank formula, which draws the unserved links in law, and CF at
-K > N the dense formula on the law stream's channels. Each Monte Carlo mean
-must lie within 4 standard errors of its closed form, the standard error
-estimated from the same realizations.
+K > N the dense formula on the law stream's channels. With ZF sensing beams
+an AP's beam is orthogonal to the channels of the UEs it annuls and
+independent of every other channel, so E[leak_j] sums eta0_m g_jm over the
+sensing APs m that do not annul j; the UE beams, and so the other moments,
+are the MF ones. Each Monte Carlo mean must lie within 4 standard errors of
+its closed form, the standard error estimated from the same realizations.
 """
 
 import math
@@ -48,26 +51,28 @@ def _within(samples: np.ndarray, expected: np.ndarray) -> None:
     assert np.all(np.abs(mean - expected) <= 4.0 * se), np.max(np.abs(mean - expected) / se)
 
 
-@pytest.mark.parametrize("mode,dense", [("UTC", False), ("CF", True)])
-def test_downlink_moments_match_their_closed_forms(mode, dense, monkeypatch):
-    cfg = ExperimentConfig(**{**MOMENTS, "mode": mode})
+def _downlink_samples(cfg: ExperimentConfig, monkeypatch) -> tuple:
+    """The arm, and its cross-gain powers (F, K, K) and leakages (F, K) over every realization."""
+    arm = harness._Arm(cfg, 0, Draw(cfg, 0))
     outputs = []
-    name = "_dense_downlink" if dense else "_bank_downlink"
+    name = "_dense_downlink" if arm.dense else "_bank_downlink"
     downlink = getattr(harness, name)
     monkeypatch.setattr(harness, name, lambda *args: outputs.append(downlink(*args)) or outputs[-1])
-    harness._run_table([cfg], 0)
+    (result,) = harness._run_table([cfg], 0)
+    assert result.diagnostics.zf_fallbacks == 0  # every ZF beam annuls its UEs
     power = np.concatenate([out[0] for out in outputs])  # (F, K, K): [f, observer, beam]
     leak = np.concatenate([out[1] for out in outputs])
     assert len(power) == cfg.n_fading
+    return arm, power, leak
 
-    arm = harness._Arm(cfg, 0, Draw(cfg, 0))
-    assert arm.dense == dense
-    ctx = arm.ctx
-    eta, g, eta0 = ctx.amp**2, ctx.gains, ctx.sqrt_eta0**2
+
+def _check_moments(cfg: ExperimentConfig, ctx, power, leak, eta0: np.ndarray) -> None:
+    """The MF moments, with eta0 (K, M) the sensing power that reaches UE j from AP m."""
+    eta, g = ctx.amp**2, ctx.gains
     cross = g @ eta.T  # [observer j, beam k] = sum_m eta_km g_jm
     off = ~np.eye(cfg.k_ues, dtype=bool)
     _within(power[:, off], cross[off])
-    _within(leak, g @ eta0)
+    _within(leak, (g * eta0).sum(axis=1))
 
     c_n = math.exp(math.lgamma(cfg.n_antennas + 0.5) - math.lgamma(cfg.n_antennas))
     root = np.sqrt(eta * g)  # (K, M)
@@ -75,3 +80,23 @@ def test_downlink_moments_match_their_closed_forms(mode, dense, monkeypatch):
         root.sum(axis=1) ** 2 - (root**2).sum(axis=1)
     )
     _within(np.einsum("fkk->fk", power), desired)
+
+
+@pytest.mark.parametrize("mode,dense", [("UTC", False), ("CF", True)])
+def test_downlink_moments_match_their_closed_forms(mode, dense, monkeypatch):
+    cfg = ExperimentConfig(**{**MOMENTS, "mode": mode})
+    arm, power, leak = _downlink_samples(cfg, monkeypatch)
+    assert arm.dense == dense
+    eta0 = np.broadcast_to(arm.ctx.sqrt_eta0**2, arm.ctx.gains.shape)
+    _check_moments(cfg, arm.ctx, power, leak, eta0)
+
+
+def test_zf_leakage_moments_skip_the_annulled_ues(monkeypatch):
+    cfg = ExperimentConfig(**{**MOMENTS, "mode": "UTC", "beamformer": "ZF", "k_zf": 1})
+    arm, power, leak = _downlink_samples(cfg, monkeypatch)
+    ctx = arm.ctx
+    assert not arm.dense and ctx.zf_sets
+    eta0 = np.tile(ctx.sqrt_eta0**2, (cfg.k_ues, 1))
+    for aps, annul in ctx.zf_sets:
+        eta0[annul, aps[:, None]] = 0.0  # an annulled UE gets no leakage from the AP
+    _check_moments(cfg, ctx, power, leak, eta0)

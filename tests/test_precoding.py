@@ -256,7 +256,7 @@ class TestBuildPlan:
         for k in range(cfg.k_ues):
             for m in range(cfg.m_aps):
                 h[(k, m)] = math.sqrt(gains[k, m]) * complex_normal(rng, cfg.n_antennas)
-        cells = [layout.regions[0].cells[0].center]
+        cells = [layout.regions[0].cell_centers[0]]
         plan = build_plan(
             h,
             gains,

@@ -39,7 +39,7 @@ def random_dictionary(rng, n_ant=8, n_tx=6):
     cols = complex_normal(rng, (n_ant, n_tx))
     basis, sv, rank = svd_basis(cols)
     return Dictionary(
-        cell=None, rx_ap=0, columns=cols, basis=basis, singular_values=sv, rank=rank
+        cell_center=None, rx_ap=0, columns=cols, basis=basis, singular_values=sv, rank=rank
     )
 
 
@@ -107,9 +107,9 @@ class TestDictionary:
 
     def test_single_tx_ap_basis(self):
         cfg, layout = self._layout()
-        cell = layout.regions[0].cells[0]
+        center = layout.regions[0].cell_centers[0]
         tx_signals = {3: complex_normal(np.random.default_rng(2), 8)}
-        d = build_dictionary(cell, 0, [3], layout, tx_signals, GEOM, 2.0)
+        d = build_dictionary(center, 0, [3], layout, tx_signals, GEOM, 2.0)
         assert d.columns.shape == (8, 1)
         assert d.rank == 1
         np.testing.assert_allclose(
@@ -120,25 +120,25 @@ class TestDictionary:
     def test_duplicate_geometry_gives_rank_one(self):
         cfg, layout = self._layout()
         layout.aps[4] = layout.aps[3]  # identical tx geometry
-        cell = layout.regions[0].cells[1]
+        center = layout.regions[0].cell_centers[1]
         s = complex_normal(np.random.default_rng(3), 8)
-        d = build_dictionary(cell, 0, [3, 4], layout, {3: s, 4: s.copy()}, GEOM, 2.0)
+        d = build_dictionary(center, 0, [3, 4], layout, {3: s, 4: s.copy()}, GEOM, 2.0)
         assert d.columns.shape == (8, 2)
         assert d.rank == 1
 
     def test_beta_is_product_of_one_way_gains(self):
         cfg, layout = self._layout()
-        cell = layout.regions[0].cells[2]
+        center = layout.regions[0].cell_centers[2]
         s = np.ones(8, dtype=complex)
-        d = build_dictionary(cell, 1, [5], layout, {5: s}, GEOM, 2.0)
+        d = build_dictionary(center, 1, [5], layout, {5: s}, GEOM, 2.0)
         g_rx = linear_gain(
-            pathloss_db(float(np.linalg.norm(cell.center - layout.aps[1])), "ap_target_los", 2.0)
+            pathloss_db(float(np.linalg.norm(center - layout.aps[1])), "ap_target_los", 2.0)
         )
         g_tx = linear_gain(
-            pathloss_db(float(np.linalg.norm(cell.center - layout.aps[5])), "ap_target_los", 2.0)
+            pathloss_db(float(np.linalg.norm(center - layout.aps[5])), "ap_target_los", 2.0)
         )
-        a_rx = steering_to(GEOM, layout.aps[1], cell.center)
-        a_tx = steering_to(GEOM, layout.aps[5], cell.center)
+        a_rx = steering_to(GEOM, layout.aps[1], center)
+        a_tx = steering_to(GEOM, layout.aps[5], center)
         # amplitude scale sqrt(beta), as composite_target_channel draws the echo
         expected = math.sqrt(g_rx * g_tx) * (a_tx.conj() @ s) * a_rx
         np.testing.assert_allclose(d.columns[:, 0], expected, rtol=1e-12)
@@ -330,28 +330,28 @@ class TestSensingSnr:
         # simulate_rx_observable draws through TargetLink
         cfg = ExperimentConfig(m_aps=8, k_ues=2, t_targets=1, l_regions=1, cell_extent_m=250.0)
         layout = generate_layout(cfg, np.random.default_rng(21))
-        cell = layout.regions[0].cells[4]
+        center = layout.regions[0].cell_centers[4]
         rng = np.random.default_rng(22)
         tx_aps = [2, 3, 4]
         rx_ap = 0
         tx_signals = {mp: complex_normal(rng, 8) for mp in tx_aps}
-        d = build_dictionary(cell, rx_ap, tx_aps, layout, tx_signals, GEOM, 2.0)
+        d = build_dictionary(center, rx_ap, tx_aps, layout, tx_signals, GEOM, 2.0)
         r_mat = cfg.sigma_rcs2_m2 * view_angle_kernel(
-            cell.center, layout.aps[tx_aps], cfg.angular_corr_rad
+            center, layout.aps[tx_aps], cfg.angular_corr_rad
         )
         sigma_z2 = cfg.sigma_z2_w
         closed = sensing_snr([d], [r_mat], sigma_z2)
 
         def gain(m):
-            dist = float(np.linalg.norm(cell.center - layout.aps[m]))
+            dist = float(np.linalg.norm(center - layout.aps[m]))
             return linear_gain(pathloss_db(dist, "ap_target_los", 2.0))
 
         paths = {
             mp: TargetLink(
                 alpha=0j,
                 beta=gain(rx_ap) * gain(mp),
-                tx_steering=steering_to(GEOM, layout.aps[mp], cell.center),
-                rx_steering=steering_to(GEOM, layout.aps[rx_ap], cell.center),
+                tx_steering=steering_to(GEOM, layout.aps[mp], center),
+                rx_steering=steering_to(GEOM, layout.aps[rx_ap], center),
             )
             for mp in tx_aps
         }
@@ -375,30 +375,30 @@ class TestEndToEndCell:
         # echo lies inside the dictionary column space: statistic = ||y||^2
         cfg = ExperimentConfig(m_aps=8, k_ues=2, t_targets=1, l_regions=1, cell_extent_m=250.0)
         layout = generate_layout(cfg, np.random.default_rng(18))
-        cell = layout.regions[0].cells[5]
+        center = layout.regions[0].cell_centers[5]
         rng = np.random.default_rng(19)
         tx_aps = [2, 3, 4]
         rx_ap = 0
         tx_signals = {mp: complex_normal(rng, 8) for mp in tx_aps}
-        d = build_dictionary(cell, rx_ap, tx_aps, layout, tx_signals, GEOM, 2.0)
+        d = build_dictionary(center, rx_ap, tx_aps, layout, tx_signals, GEOM, 2.0)
         channels = ChannelRealization()
         alphas = {mp: complex(complex_normal(rng, ())) for mp in tx_aps}
         for mp in tx_aps:
             g_tx = linear_gain(
                 pathloss_db(
-                    float(np.linalg.norm(cell.center - layout.aps[mp])), "ap_target_los", 2.0
+                    float(np.linalg.norm(center - layout.aps[mp])), "ap_target_los", 2.0
                 )
             )
             g_rx = linear_gain(
                 pathloss_db(
-                    float(np.linalg.norm(cell.center - layout.aps[rx_ap])), "ap_target_los", 2.0
+                    float(np.linalg.norm(center - layout.aps[rx_ap])), "ap_target_los", 2.0
                 )
             )
             channels.target_links[(0, rx_ap, mp)] = TargetLink(
                 alpha=alphas[mp],
                 beta=g_tx * g_rx,
-                tx_steering=steering_to(GEOM, layout.aps[mp], cell.center),
-                rx_steering=steering_to(GEOM, layout.aps[rx_ap], cell.center),
+                tx_steering=steering_to(GEOM, layout.aps[mp], center),
+                rx_steering=steering_to(GEOM, layout.aps[rx_ap], center),
             )
         y = simulate_rx_observable(channels, tx_signals, [1], rx_ap, True, 0.0)
         stat = glrt_statistic([d], [y])
