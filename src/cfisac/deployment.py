@@ -1,13 +1,15 @@
 """Network layouts, sensing regions and the scan schedule.
 
 A region holds its range cells as two arrays, their centers and their
-bounds, which the scan schedule and the drop's cell tables index.
+bounds, which the scan schedule and the drop's cell tables index. The
+regions depend only on the config, so every drop shares one table of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -15,14 +17,16 @@ import numpy as np
 from .config import ExperimentConfig
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SensingRegion:
     """Axis-aligned rectangular sensing region; regions tile the area.
 
     Its range cells, the smallest inspected spatial elements, row by row:
     ``cell_centers`` (C, 3) are the centers of their (possibly edge-clipped)
     horizontal footprints, raised to the inspection height, and
-    ``cell_bounds`` (C, 4) the footprints (x0, y0, x1, y1).
+    ``cell_bounds`` (C, 4) the footprints (x0, y0, x1, y1). A region is
+    frozen because drops share it; ``build_regions`` makes its arrays
+    read-only.
     """
 
     index: int
@@ -53,7 +57,7 @@ class NetworkLayout:
     ues: np.ndarray
     targets: np.ndarray
     target_regions: np.ndarray
-    regions: list[SensingRegion]
+    regions: tuple[SensingRegion, ...]
     broadsides: np.ndarray
 
 
@@ -102,13 +106,24 @@ def build_range_cell_grid(
     return centers.reshape(-1, 3), bounds.reshape(-1, 4)
 
 
-def build_regions(config: ExperimentConfig) -> list[SensingRegion]:
-    rows, cols = region_grid_shape(config.l_regions)
-    side = config.area_side_m
+def build_regions(config: ExperimentConfig) -> tuple[SensingRegion, ...]:
+    """The config's regions with read-only cells, built once per distinct tiling."""
+    return _regions(
+        config.l_regions,
+        config.area_side_m,
+        config.resolved_cell_extent_m,
+        config.inspection_height_m,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _regions(
+    l_regions: int, side: float, extent: float, inspection_height: float
+) -> tuple[SensingRegion, ...]:
+    rows, cols = region_grid_shape(l_regions)
     width, height = side / cols, side / rows
-    extent = config.resolved_cell_extent_m
     regions = []
-    for idx in range(config.l_regions):
+    for idx in range(l_regions):
         r, c = divmod(idx, cols)
         region = SensingRegion(
             index=idx,
@@ -117,11 +132,10 @@ def build_regions(config: ExperimentConfig) -> list[SensingRegion]:
             x_max=(c + 1) * width,
             y_max=(r + 1) * height,
         )
-        region.cell_centers, region.cell_bounds = build_range_cell_grid(
-            region, extent, config.inspection_height_m
-        )
-        regions.append(region)
-    return regions
+        centers, bounds = build_range_cell_grid(region, extent, inspection_height)
+        centers.flags.writeable = bounds.flags.writeable = False
+        regions.append(replace(region, cell_centers=centers, cell_bounds=bounds))
+    return tuple(regions)
 
 
 def generate_layout(config: ExperimentConfig, rng: np.random.Generator) -> NetworkLayout:

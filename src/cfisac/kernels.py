@@ -11,10 +11,11 @@ lower Cholesky factor of its bank's Gram, ``cholesky_lower``.
 
 Each realization block of ``harness._run_table`` runs the first two on its
 own rows and core, and ``echo_mix`` runs once per arm on all realizations.
-In traced perfbench runs (2 cores, BLAS at one thread), ``cross_gains`` and
-``sense_leakage`` took 3.3 and 1.3 ms of thread time in a 39 ms ``cf-mf``
-drop over all M APs; ``utc-mf`` takes the bank formula, which calls neither,
-and ``echo_mix`` costs 0.1 ms of its 25 ms drop (``BENCH_24.json``).
+In traced perfbench runs (2 cores, BLAS at one thread, ``BENCH_24.json``),
+when the first two still ran over all M APs rather than the transmit APs,
+they took 3.3 and 1.3 ms of thread time in a 39 ms ``cf-mf`` drop;
+``utc-mf`` takes the bank formula, which calls neither, and ``echo_mix``
+costs 0.1 ms of its 25 ms drop.
 """
 
 from __future__ import annotations

@@ -129,22 +129,6 @@ class ResultSet:
         snr = self.sensing_snr_db[~np.isnan(self.sensing_snr_db)]
         return float(np.median(snr)) if snr.size else float("nan")
 
-    def sample_rows(self) -> Iterable[tuple[int, int, str, float]]:
-        """Flatten to (drop, entity, metric, value) rows in a fixed order."""
-        per_region = (
-            ("sensing_snr_db", self.sensing_snr_db.tolist()),
-            ("statistic", self.statistics.tolist()),
-            ("decision", self.decisions.astype(float).tolist()),
-        )
-        for d, rates in enumerate(self.rates_bps.tolist()):
-            for row in rates:
-                for k, value in enumerate(row):
-                    yield d, k, "rate_bps", value
-            for name, arr in per_region:
-                for row in arr[d]:
-                    for l, value in enumerate(row):
-                        yield d, l, name, value
-
 
 def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> ResultSet:
     diag = DropDiagnostics()
@@ -177,6 +161,80 @@ def _aggregate(cfg: ExperimentConfig, label: str, drops: list[DropResult]) -> Re
 
 
 # --- file emission -----------------------------------------------------------
+# Every float is written as its shortest round-trip repr, and rows end in
+# CRLF in the CSVs and in LF in detections.txt. An arm's writer formats each
+# column of a drop with one repr of its list and writes each file one drop
+# at a time; a CDF goes out _CDF_CHUNK rows at a time.
+
+# at 4096 rows a chunk's strings lift the writer's peak memory to the row writer's
+_CDF_CHUNK = 2048
+_DECISION_FLOATS = np.array(["0.0", "1.0"], dtype=object)
+
+
+def _reprs(values: np.ndarray) -> tuple[str, list[str]]:
+    """Each value's repr from one repr of the list: the ", "-joined text, the strings."""
+    text = repr(values.ravel().tolist())[1:-1]
+    return text, text.split(", ") if values.size else []
+
+
+def _join_rows(columns: Sequence[list[str]], end: str) -> str:
+    """Rows of equal-length string columns, each row closed by ``end``."""
+    width = len(columns) + 1
+    parts = [end] * (width * len(columns[0]))
+    for i, column in enumerate(columns):
+        parts[i::width] = column
+    return "".join(parts)
+
+
+def _write_cdf(path: str | Path, chunks: Iterable[tuple[list[str], np.ndarray]]) -> None:
+    """value,probability rows with CRLF ends, from (value strings, probabilities) chunks."""
+    with open(path, "w", newline="") as fh:
+        fh.write("value,probability\r\n")
+        for values, probabilities in chunks:
+            fh.write(_join_rows([values, [","] * len(values), _reprs(probabilities)[1]], "\r\n"))
+
+
+class _Column:
+    """A float column of an arm, formatted drop by drop and kept for its CDF.
+
+    Each drop's strings stay as the one text their repr joined them into,
+    with their lengths, so that the CDF slices its values from that text.
+    """
+
+    def __init__(self) -> None:
+        self._texts: list[str] = []
+        self._lengths: list[np.ndarray] = []
+
+    def format(self, values: np.ndarray) -> list[str]:
+        text, strings = _reprs(values)
+        self._texts.append(text)
+        self._lengths.append(np.fromiter(map(len, strings), np.int32, len(strings)))
+        return strings
+
+    def cdf_chunks(self, samples: np.ndarray, positions: Optional[np.ndarray] = None):
+        """The empirical CDF of ``samples`` in chunks for ``_write_cdf``; ends the column.
+
+        ``samples`` are the column's values at ``positions`` of its formatted
+        order, all of them by default. Their strings come in np.sort order,
+        and the i-th has probability i/n, as in ``empirical_cdf``.
+        """
+        text = ", ".join(self._texts)
+        lengths = np.concatenate(self._lengths)
+        self._texts, self._lengths = [], []
+        starts = np.zeros(lengths.size + 1, np.int64)  # and past the end, as if ", " followed
+        np.cumsum(lengths + 2, out=starts[1:])
+        del lengths
+        order = np.argsort(samples)
+        ranked = np.sort(samples)
+        for i in range(0, samples.size, _CDF_CHUNK):
+            rows = order[i : i + _CDF_CHUNK]
+            at = rows if positions is None else positions[rows]
+            values = [text[a : b - 2] for a, b in zip(starts[at].tolist(), starts[at + 1].tolist())]
+            # argsort may order equal values (-0.0 and 0.0) unlike np.sort
+            want = ranked[i : i + _CDF_CHUNK]
+            for t in np.flatnonzero(samples[rows].view(np.int64) != want.view(np.int64)):
+                values[t] = repr(float(want[t]))
+            yield values, np.arange(i + 1, i + rows.size + 1) / samples.size
 
 
 def write_samples_csv(path: str | Path, rows) -> None:
@@ -187,33 +245,64 @@ def write_samples_csv(path: str | Path, rows) -> None:
 
 
 def write_cdf_csv(path: str | Path, curve: CdfCurve) -> None:
-    rows = zip(curve.values.tolist(), curve.probabilities.tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("value,probability\r\n")
-        fh.writelines(f"{v!r},{p!r}\r\n" for v, p in rows)
+    """The curve's value,probability rows with CRLF ends."""
+    c = _CDF_CHUNK
+    _write_cdf(
+        path,
+        (
+            (_reprs(curve.values[i : i + c])[1], curve.probabilities[i : i + c])
+            for i in range(0, curve.values.size, c)
+        ),
+    )
 
 
 def _write_arm(out_dir: Path, rs: ResultSet) -> None:
-    write_samples_csv(out_dir / f"{rs.label}_samples.csv", rs.sample_rows())
-    write_cdf_csv(out_dir / f"{rs.label}_cdf_rate_bps.csv", empirical_cdf(rs.rates_bps.ravel()))
-    snr = rs.sensing_snr_db[~np.isnan(rs.sensing_snr_db)]  # rank-0 tests have no SNR
-    snr_cdf = empirical_cdf(snr) if snr.size else CdfCurve(np.empty(0), np.empty(0))
-    write_cdf_csv(out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", snr_cdf)
-    with open(out_dir / f"{rs.label}_detections.txt", "w") as fh:
-        fh.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
-        columns = zip(
-            rs.statistics.ravel().tolist(),
-            rs.thresholds.ravel().tolist(),
-            rs.decisions.ravel().astype(int).tolist(),
-            rs.truths.ravel().astype(int).tolist(),
-            rs.sensing_snr_db.ravel().tolist(),
-        )
-        fh.writelines(
-            f"{d} {f} {l} {stat!r} {thr!r} {dec} {truth} {snr!r}\n"
-            for (d, f, l), (stat, thr, dec, truth, snr) in zip(
-                np.ndindex(rs.statistics.shape), columns
-            )
-        )
+    """Write the arm's samples, detections and CDFs, formatting each float once.
+
+    The samples and the detections share each drop's SNR and statistic
+    strings, and the CDFs slice the rate and SNR strings. Thresholds are
+    formatted once per distinct value; decisions and truths are looked up.
+    """
+    n_drops, n_fading, k_ues = rs.rates_bps.shape
+    n_regions = rs.statistics.shape[2]
+    rates, snrs = _Column(), _Column()
+    # " threshold decision truth " of a detection row; bitwise unique keeps -0.0
+    thr_bits, thr_index = np.unique(rs.thresholds.ravel().view(np.int64), return_inverse=True)
+    middles = np.array(
+        [
+            f" {t} {dec} {truth} "
+            for t in _reprs(thr_bits.view(float))[1]
+            for dec in (0, 1)
+            for truth in (0, 1)
+        ],
+        dtype=object,
+    )
+    codes = 4 * thr_index.reshape(rs.thresholds.shape) + 2 * rs.decisions + rs.truths
+
+    def write_drop(d: int) -> None:  # the writer holds one drop's strings at a time
+        snr = snrs.format(rs.sensing_snr_db[d])
+        statistic = _reprs(rs.statistics[d])[1]
+        decision = _DECISION_FLOATS[rs.decisions[d].ravel().astype(np.intp)].tolist()
+        prefixes = [f"{d},{k},rate_bps," for k in range(k_ues)] * n_fading
+        for name in ("sensing_snr_db", "statistic", "decision"):
+            prefixes += [f"{d},{l},{name}," for l in range(n_regions)] * n_fading
+        values = rates.format(rs.rates_bps[d]) + snr + statistic + decision
+        samples.write(_join_rows([prefixes, values], "\r\n"))
+        epochs = [f"{d} {f} {l} " for f in range(n_fading) for l in range(n_regions)]
+        middle = middles[codes[d].ravel()].tolist()
+        detections.write(_join_rows([epochs, statistic, middle, snr], "\n"))
+
+    with open(out_dir / f"{rs.label}_samples.csv", "w", newline="") as samples, open(
+        out_dir / f"{rs.label}_detections.txt", "w"
+    ) as detections:
+        samples.write("drop,entity,metric,value\r\n")
+        detections.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
+        for d in range(n_drops):
+            write_drop(d)
+    _write_cdf(out_dir / f"{rs.label}_cdf_rate_bps.csv", rates.cdf_chunks(rs.rates_bps.ravel()))
+    snr = rs.sensing_snr_db.ravel()
+    keep = np.flatnonzero(~np.isnan(snr))  # rank-0 tests have no SNR
+    _write_cdf(out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", snrs.cdf_chunks(snr[keep], keep))
 
 
 def _summarize(results: dict[str, ResultSet]) -> str:

@@ -6,8 +6,9 @@ range-cell grid cell by cell and the scan schedule on lists, the
 view angles and steering vectors, the AP-AP and target channels,
 the correlated RCS draw, the per-AP beams and transmit vectors, every link's
 fading channel, the law stream that runs an arm on given channels, the
-detection dictionary with its GLRT and sensing SNR, and the downlink SINR.
-The library never calls any of it (tests/test_reference.py checks that no
+detection dictionary with its GLRT and sensing SNR, the downlink SINR, and
+the row-by-row writer of an arm's output files. The library never calls any
+of it (tests/test_reference.py checks that no
 ``cfisac`` module grows a name defined here).
 """
 
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from cfisac.channel import (
     view_angle_kernel,
 )
 from cfisac.harness import ZF_FALLBACK_TOL, allocate_power
+from cfisac.metrics import CdfCurve, empirical_cdf
 
 # --- footprints -------------------------------------------------------------
 
@@ -646,3 +649,60 @@ def rate_bps(sinr: float, bandwidth_hz: float) -> float:
     if sinr < 0:
         raise ValueError("sinr must be non-negative")
     return bandwidth_hz * math.log2(1.0 + sinr)
+
+
+# --- output files ----------------------------------------------------------------
+
+
+def sample_rows(rs) -> Iterable[tuple[int, int, str, float]]:
+    """An arm's samples as (drop, entity, metric, value) rows in file order."""
+    per_region = (
+        ("sensing_snr_db", rs.sensing_snr_db.tolist()),
+        ("statistic", rs.statistics.tolist()),
+        ("decision", rs.decisions.astype(float).tolist()),
+    )
+    for d, rates in enumerate(rs.rates_bps.tolist()):
+        for row in rates:
+            for k, value in enumerate(row):
+                yield d, k, "rate_bps", value
+        for name, arr in per_region:
+            for row in arr[d]:
+                for l, value in enumerate(row):
+                    yield d, l, name, value
+
+
+def write_samples_by_row(path: Path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("drop,entity,metric,value\r\n")
+        fh.writelines(f"{d},{e},{m},{float(v)!r}\r\n" for d, e, m, v in rows)
+
+
+def write_cdf_by_row(path: Path, curve: CdfCurve) -> None:
+    rows = zip(curve.values.tolist(), curve.probabilities.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("value,probability\r\n")
+        fh.writelines(f"{v!r},{p!r}\r\n" for v, p in rows)
+
+
+def write_arm_by_row(out_dir: Path, rs) -> None:
+    """An arm's four files, one f-string row at a time."""
+    write_samples_by_row(out_dir / f"{rs.label}_samples.csv", sample_rows(rs))
+    write_cdf_by_row(out_dir / f"{rs.label}_cdf_rate_bps.csv", empirical_cdf(rs.rates_bps.ravel()))
+    snr = rs.sensing_snr_db[~np.isnan(rs.sensing_snr_db)]  # rank-0 tests have no SNR
+    snr_cdf = empirical_cdf(snr) if snr.size else CdfCurve(np.empty(0), np.empty(0))
+    write_cdf_by_row(out_dir / f"{rs.label}_cdf_sensing_snr_db.csv", snr_cdf)
+    with open(out_dir / f"{rs.label}_detections.txt", "w") as fh:
+        fh.write("drop epoch region statistic threshold decision truth sensing_snr_db\n")
+        columns = zip(
+            rs.statistics.ravel().tolist(),
+            rs.thresholds.ravel().tolist(),
+            rs.decisions.ravel().astype(int).tolist(),
+            rs.truths.ravel().astype(int).tolist(),
+            rs.sensing_snr_db.ravel().tolist(),
+        )
+        fh.writelines(
+            f"{d} {f} {l} {stat!r} {thr!r} {dec} {truth} {snr!r}\n"
+            for (d, f, l), (stat, thr, dec, truth, snr) in zip(
+                np.ndindex(rs.statistics.shape), columns
+            )
+        )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -231,8 +232,9 @@ class TestScanSchedule:
 
     def test_unequal_cell_counts_padded(self):
         cfg = ExperimentConfig(l_regions=4, cell_extent_m=250.0)
-        regions = build_regions(cfg)
-        regions[2].cell_centers = regions[2].cell_centers[:1]  # force one short region
+        regions = list(build_regions(cfg))
+        # force one short region
+        regions[2] = replace(regions[2], cell_centers=regions[2].cell_centers[:1])
         sched = build_scan_schedule(regions, np.random.default_rng(0))
         assert sched.n_epochs == 4
         assert set(sched.epochs[:, 2]) == {0}
@@ -260,9 +262,9 @@ def test_schedule_is_bitwise_the_list_schedule(l_regions, extent, short, side):
     cfg = ExperimentConfig(
         l_regions=l_regions, t_targets=l_regions, cell_extent_m=extent, area_side_m=side
     )
-    regions = build_regions(cfg)
+    regions = list(build_regions(cfg))
     if short is not None:
-        regions[short].cell_centers = regions[short].cell_centers[:1]
+        regions[short] = replace(regions[short], cell_centers=regions[short].cell_centers[:1])
     centers = [region.cell_centers for region in regions]
     for max_epochs in (None, 1, 7, 100):
         for seed in range(6):
@@ -288,3 +290,19 @@ def test_a_range_resolution_drop_schedules_like_the_list_schedule():
         [region.cell_centers for region in regions], _stream(cfg, 0, _S_SCHED), max_epochs=4
     )
     assert drawn.schedule.epochs.tobytes() == expected.tobytes()
+
+
+def test_drops_share_one_read_only_region_table():
+    cfg = small_cfg(n_fading=4)
+    first, second = Draw(cfg, 0).layout, Draw(cfg, 1).layout
+    assert not np.array_equal(first.aps, second.aps)  # two different drops
+    for a, b in zip(first.regions, second.regions, strict=True):
+        assert a.cell_centers is b.cell_centers and a.cell_bounds is b.cell_bounds
+        for cells in (a.cell_centers, a.cell_bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                cells[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        first.regions[0].cell_centers = first.regions[0].cell_centers[:1]
+    # another tiling has its own table
+    finer = build_regions(small_cfg(cell_extent_m=125.0))
+    assert len(finer[0].cell_centers) == 4 * len(first.regions[0].cell_centers)

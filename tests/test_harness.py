@@ -62,6 +62,7 @@ from reference import (
     law_normals,
     rate_bps,
     rcs_pair_covariance,
+    sample_rows,
     sensing_snr,
     simulate_rx_observable,
     steering_to,
@@ -237,7 +238,7 @@ class TestRunExperiment:
         rs = run_experiment(cfg)
         assert rs.rates_bps.shape == (2, 3, 32)
         assert rs.rates_bps.size == 2 * 3 * 32
-        rows = list(rs.sample_rows())
+        rows = list(sample_rows(rs))
         assert sum(1 for r in rows if r[2] == "rate_bps") == 192
 
     def test_aggregate_rejects_missing_drops(self):

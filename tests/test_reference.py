@@ -25,7 +25,8 @@ def _defined_names(path: Path) -> set[str]:
 def test_library_holds_no_reference_api():
     names = _defined_names(REFERENCE)
     assert {
-        "build_plan", "draw_ap_ap_channel", "communication_sinr", "contains_xy", "law_normals"
+        "build_plan", "draw_ap_ap_channel", "communication_sinr", "contains_xy", "law_normals",
+        "sample_rows", "write_arm_by_row",
     } <= names
     modules = [cfisac] + [
         importlib.import_module(f"cfisac.{info.name}")
