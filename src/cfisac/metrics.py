@@ -219,11 +219,9 @@ class _Column:
         and the i-th has probability i/n, as in ``empirical_cdf``.
         """
         text = ", ".join(self._texts)
-        lengths = np.concatenate(self._lengths)
+        starts = np.zeros(sum(map(len, self._lengths)) + 1, np.int64)  # and one past the end
+        np.cumsum(np.concatenate(self._lengths) + 2, out=starts[1:])
         self._texts, self._lengths = [], []
-        starts = np.zeros(lengths.size + 1, np.int64)  # and past the end, as if ", " followed
-        np.cumsum(lengths + 2, out=starts[1:])
-        del lengths
         order = np.argsort(samples)
         ranked = np.sort(samples)
         for i in range(0, samples.size, _CDF_CHUNK):
@@ -246,14 +244,8 @@ def write_samples_csv(path: str | Path, rows) -> None:
 
 def write_cdf_csv(path: str | Path, curve: CdfCurve) -> None:
     """The curve's value,probability rows with CRLF ends."""
-    c = _CDF_CHUNK
-    _write_cdf(
-        path,
-        (
-            (_reprs(curve.values[i : i + c])[1], curve.probabilities[i : i + c])
-            for i in range(0, curve.values.size, c)
-        ),
-    )
+    chunks = (slice(i, i + _CDF_CHUNK) for i in range(0, curve.values.size, _CDF_CHUNK))
+    _write_cdf(path, ((_reprs(curve.values[c])[1], curve.probabilities[c]) for c in chunks))
 
 
 def _write_arm(out_dir: Path, rs: ResultSet) -> None:
@@ -268,15 +260,9 @@ def _write_arm(out_dir: Path, rs: ResultSet) -> None:
     rates, snrs = _Column(), _Column()
     # " threshold decision truth " of a detection row; bitwise unique keeps -0.0
     thr_bits, thr_index = np.unique(rs.thresholds.ravel().view(np.int64), return_inverse=True)
-    middles = np.array(
-        [
-            f" {t} {dec} {truth} "
-            for t in _reprs(thr_bits.view(float))[1]
-            for dec in (0, 1)
-            for truth in (0, 1)
-        ],
-        dtype=object,
-    )
+    thresholds = _reprs(thr_bits.view(float))[1]
+    middles = [f" {t} {dec} {truth} " for t in thresholds for dec in (0, 1) for truth in (0, 1)]
+    middles = np.array(middles, dtype=object)
     codes = 4 * thr_index.reshape(rs.thresholds.shape) + 2 * rs.decisions + rs.truths
 
     def write_drop(d: int) -> None:  # the writer holds one drop's strings at a time
